@@ -91,11 +91,11 @@ HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd --test optimize
 
 # Quantisation acceptance gate: every builtin model quantised off the
 # absint feasibility table must hold Magellan F1 within the configured
-# delta of its f32 session, never grow the activation arena, strictly
-# shrink the total footprint, and score deterministically across pool
-# widths and optimiser settings — under a real 1-wide and a real 8-wide
-# pool, and again under the simd build (whose F16C encode path must
-# produce the same bits as the scalar converters).
+# delta of its f32 session, shrink the weight bytes, and score graph
+# geometries unseen at quantise time bitwise-equal to eager prediction
+# on the snapped weights across pool widths and optimiser settings —
+# under a real 1-wide and a real 8-wide pool, and again under the simd
+# build (whose FMA microkernel tile must hold the same equalities).
 echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test quantise_acceptance"
 HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test quantise_acceptance
 
@@ -152,8 +152,8 @@ echo "==> hiergat audit --deny warn"
   --dataset fodors-zagats --scale 0.2 --tier dbert --deny warn
 
 # Quantisation CLI gate: every builtin model must pass the F1-delta and
-# storage gates of `hiergat quantise` on the bundled dataset (the command
-# exits non-zero when any model's gate fails).
+# weight-byte gates of `hiergat quantise` on the bundled dataset (the
+# command exits non-zero when any model's gate fails).
 echo "==> hiergat quantise"
 ./target/release/hiergat quantise \
   --dataset fodors-zagats --scale 0.2 --tier dbert

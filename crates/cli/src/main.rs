@@ -53,9 +53,8 @@
 //!   quantises every registry model's scoring session post-training,
 //!   driven by the absint feasibility table (int8 / f16 / f32 per tensor),
 //!   and gates the result: evaluation F1 must stay within `--delta` of the
-//!   f32 session and both the weight bytes and the inference arena must
-//!   shrink. `--report` adds the per-class parameter / activation-node
-//!   breakdown.
+//!   f32 session and the audited grids must need fewer weight bytes.
+//!   `--report` adds the per-class parameter breakdown.
 //! * `resolve (--entities N | --table FILE) [--top 8] [--accept 0.85]
 //!   [--band LO:HI --model DIR] [--shards 8] [--out FILE] [--json]`
 //!   end-to-end streaming entity resolution: sharded TF-IDF top-N
@@ -286,6 +285,9 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
     let max_df: f64 = args.get_parsed("max-df").unwrap_or(Ok(0.01))?;
     let batch: usize = args.get_parsed("batch").unwrap_or(Ok(1024))?;
     let chunk: usize = args.get_parsed("chunk").unwrap_or(Ok(128))?;
+    if shards == 0 || chunk == 0 {
+        return Err("--shards and --chunk must be at least 1".into());
+    }
 
     let band = match args.get("band") {
         Some(spec) => {
@@ -812,16 +814,11 @@ struct ModelQuantise {
     int8_params: usize,
     f16_params: usize,
     f32_params: usize,
-    arena_bytes_f32: u64,
-    arena_bytes_quantised: u64,
-    int8_nodes: usize,
-    f16_nodes: usize,
-    f32_nodes: usize,
     ok: bool,
 }
 
-/// The full `quantise --json` document: per-model F1 deltas and storage
-/// footprints, f32 vs quantised.
+/// The full `quantise --json` document: per-model F1 deltas and weight
+/// bytes, f32 vs the audited grids.
 #[derive(serde::Serialize)]
 struct QuantiseOutput {
     delta: f64,
@@ -888,14 +885,9 @@ fn cmd_quantise(args: &Args) -> Result<(), String> {
         let f1_quantised =
             hiergat_metrics::Confusion::from_predictions(&decide(&q_scores), &labels).pr_f1().f1;
         let f1_delta = f1_quantised - f1_f32;
-        // Storage gate: the arena must never grow (graphs whose live peak
-        // is audit-opaque — e.g. GCN's division-normalised adjacency
-        // products — bottom out at exact equality), and the session's
-        // total footprint (arena + weights) must strictly shrink.
-        let ok = f1_delta.abs() <= delta
-            && report.arena_bytes <= report.f32_arena_bytes
-            && report.arena_bytes + report.weights.bytes_quantised
-                < report.f32_arena_bytes + report.weights.bytes_f32;
+        // Storage gate: the audited grids must need fewer weight bytes.
+        let ok =
+            f1_delta.abs() <= delta && report.weights.bytes_quantised < report.weights.bytes_f32;
         models.push(ModelQuantise {
             model: spec.display().to_string(),
             f1_f32,
@@ -906,11 +898,6 @@ fn cmd_quantise(args: &Args) -> Result<(), String> {
             int8_params: report.weights.int8_params,
             f16_params: report.weights.f16_params,
             f32_params: report.weights.f32_params,
-            arena_bytes_f32: report.f32_arena_bytes,
-            arena_bytes_quantised: report.arena_bytes,
-            int8_nodes: report.class_nodes.0,
-            f16_nodes: report.class_nodes.1,
-            f32_nodes: report.class_nodes.2,
             ok,
         });
     }
@@ -932,27 +919,19 @@ fn cmd_quantise(args: &Args) -> Result<(), String> {
         for m in &out.models {
             println!("== {} ==", m.model);
             println!(
-                "F1 {:.3} -> {:.3} (delta {:+.3}, gate {:.3})  weights {} -> {} bytes  \
-                 arena {} -> {} bytes{}",
+                "F1 {:.3} -> {:.3} (delta {:+.3}, gate {:.3})  weights {} -> {} bytes{}",
                 m.f1_f32,
                 m.f1_quantised,
                 m.f1_delta,
                 out.delta,
                 m.weight_bytes_f32,
                 m.weight_bytes_quantised,
-                m.arena_bytes_f32,
-                m.arena_bytes_quantised,
                 if m.ok { "" } else { "  [FAILED]" }
             );
             if args.has_flag("report") {
                 println!(
-                    "params int8/f16/f32: {}/{}/{}  activation nodes int8/f16/f32: {}/{}/{}",
-                    m.int8_params,
-                    m.f16_params,
-                    m.f32_params,
-                    m.int8_nodes,
-                    m.f16_nodes,
-                    m.f32_nodes
+                    "params int8/f16/f32: {}/{}/{}",
+                    m.int8_params, m.f16_params, m.f32_params
                 );
             }
         }
@@ -964,15 +943,12 @@ fn cmd_quantise(args: &Args) -> Result<(), String> {
         let bad = out.models.iter().filter(|m| !m.ok).count();
         Err(format!(
             "quantise gate failed: {bad} model(s) outside the F1 delta {:.3} or without \
-             storage savings",
+             weight-byte savings",
             out.delta
         ))
     } else {
         if !args.has_flag("json") {
-            println!(
-                "all model sessions quantise within F1 delta {:.3} with smaller arenas",
-                out.delta
-            );
+            println!("all model sessions quantise within F1 delta {:.3}", out.delta);
         }
         Ok(())
     }
@@ -1120,6 +1096,16 @@ mod tests {
         .map(ToString::to_string)
         .collect();
         run(&argv).expect("optimize --verify");
+    }
+
+    #[test]
+    fn resolve_rejects_zero_chunk_and_shards() {
+        for flag in ["--chunk", "--shards"] {
+            let args = Args::parse(&["--entities".into(), "100".into(), flag.into(), "0".into()])
+                .expect("parse");
+            let err = cmd_resolve(&args).expect_err("zero must fail, not panic");
+            assert!(err.contains("--shards and --chunk must be at least 1"), "{flag}: {err}");
+        }
     }
 
     #[test]

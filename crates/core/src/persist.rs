@@ -89,11 +89,12 @@ pub fn save_model(model: &HierGat, dir: impl AsRef<Path>) -> Result<(), PersistE
     save_model_impl(model, dir.as_ref(), false)
 }
 
-/// Saves a model whose serving sessions are quantised. The weights are the
-/// same f32 tensors [`save_model`] writes (quantisation is re-derived from
-/// the absint audit at load time), but the checkpoint's v2 metadata records
-/// the mode so a plain [`load_model`] fails cleanly instead of silently
-/// serving the model un-quantised.
+/// Saves a model whose serving sessions are quantised. The weights are f32
+/// tensors, as [`save_model`] writes them (from a quantised session they
+/// already sit on their audited grids; `Session::quantise` snaps the
+/// loaded weights again from a fresh audit), but the checkpoint's v2
+/// metadata records the mode so a plain [`load_model`] fails cleanly
+/// instead of silently serving the model un-quantised.
 pub fn save_model_quantised(model: &HierGat, dir: impl AsRef<Path>) -> Result<(), PersistError> {
     save_model_impl(model, dir.as_ref(), true)
 }

@@ -47,7 +47,7 @@ pub use optimize::{
 pub use params::{ParamId, ParamStore};
 pub use plan::{ArenaExecutor, ExecutionPlan, PlanReport, PlannedSlot};
 pub use quant::{
-    encode_checked, Codec, QuantClass, QuantConfig, QuantData, QuantError, QuantExecutor,
-    QuantPlan, QuantStore, QuantStoreReport,
+    encode_checked, Codec, QuantClass, QuantConfig, QuantData, QuantError, QuantStore,
+    QuantStoreReport,
 };
 pub use tape::{Tape, Var};

@@ -443,7 +443,8 @@ impl ExecutionPlan {
 
         // Greedy best-fit over the interval-sorted requests.
         let mut value_span = vec![Span::EMPTY; tape.len()];
-        let mut grad_span = vec![Span::EMPTY; tape.len()];
+        // Only `run_backward` reads gradient spans; inference plans have none.
+        let mut grad_span = vec![Span::EMPTY; if inference { 0 } else { tape.len() }];
         let mut free = FreeList::default();
         let mut active: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
         let mut arena_elems = 0usize;

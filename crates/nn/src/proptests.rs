@@ -628,7 +628,7 @@ proptest! {
         // codec's scale-derived bound.
         let data = encode_checked(vals, range.lo, range.hi, &codec, "w")
             .expect("in-interval values must encode");
-        let mut back = Vec::new();
+        let mut back = vec![0.0; vals.len()];
         data.decode_into(&codec, &mut back);
         for (&v, &d) in vals.iter().zip(&back) {
             let bound = codec.roundtrip_bound(v);

@@ -1,72 +1,33 @@
-//! Post-training quantisation of forward-only graphs, driven node-by-node
-//! by the absint feasibility table.
+//! Post-training weight quantisation, driven by the absint feasibility
+//! table.
 //!
 //! [`crate::absint::audit_graph`] proves a value interval for every
 //! reachable tensor and classifies each one `int8` / `f16` / `f32`
-//! (scale and zero point included). This module is the executor half:
+//! (scale and zero point included). [`QuantStore`] applies that table to
+//! the parameters: every parameter the audit classifies below f32 is
+//! encoded through the *rejecting* quantiser ([`encode_checked`]) — a
+//! value outside its audit-proven interval is an error, never a silent
+//! clamp, because the interval is the proof that the grid covers the
+//! tensor.
 //!
-//! * [`QuantStore`] — parameters quantised **once** at
-//!   `Session::quantise` time through the *rejecting* encoder
-//!   ([`encode_checked`]): a value outside its audit-proven interval is
-//!   an error, never a silent clamp, because the interval is the proof
-//!   that the affine grid covers the tensor.
-//! * [`QuantPlan`] — per graph shape, the f32 inference plan's liveness
-//!   (`ExecutionPlan::build_inference` start/end times) re-packed into
-//!   **one byte-granular arena** with the same best-fit free-list
-//!   discipline, sized in bytes (1/2/4 per element by class). A single
-//!   arena lets an expiring f16 node's bytes be reused by an int8 or f32
-//!   node and vice versa — exactly the cross-lifetime reuse the f32 plan
-//!   gets — so the quantised arena shrinks the f32 inference arena
-//!   instead of merely re-labelling it (class-segregated arenas lose
-//!   that sharing and can *grow* on mixed-class graphs). Values are
-//!   stored as little-endian bytes and copied through the elementwise
-//!   codecs, so no slot needs alignment. The graph root is always pinned
-//!   to the f32 class: the output score feeds a decision threshold, and
-//!   snapping it to an int8 grid would flip near-threshold decisions for
-//!   zero storage benefit (the root is live until the end anyway).
-//! * [`QuantExecutor`] — a forward interpreter that mirrors the f32
-//!   executor's per-op arithmetic exactly: operands are decoded into f32
-//!   scratch, computed with the same shared `hiergat_tensor` kernels,
-//!   and the result is encoded into its arena slot. Matmuls whose
-//!   operands are both int8 route through the dequant-free integer GEMM
-//!   (`hiergat_tensor::quant::matmul_u8_into`) instead — exact `i32`
-//!   accumulation, zero points folded out once per element.
-//!
-//! # Determinism and the optimiser
-//!
-//! Every kernel the interpreter calls is bitwise width-invariant (the
-//! f32 slice kernels are pinned so by the tensor suite; integer
-//! accumulation is exact), and encode/decode are elementwise — so
-//! quantised predictions are **identical at every `HIERGAT_THREADS`
-//! width** by construction. The certified tape optimiser is deliberately
-//! *not* applied: its certificates prove f32 semantics (bitwise
-//! equivalence of rewrites), which lossy stores would void. A quantised
-//! session therefore always replays the as-recorded tape, and
-//! `Session::set_optimize` is a no-op on the quantised path.
-//!
-//! Quantised plans are cached in the executor's own table, keyed by a
-//! signature with a leading quantisation marker word — a quantised plan
-//! can never alias an f32 plan (different cache *and* different key
-//! space). Decode scratch follows the thread-local-scratch convention
-//! the f32 microkernel established: it is reused across calls and is not
-//! part of any arena budget.
+//! A quantised session does not run a separate executor. Once every
+//! parameter has passed the checks, [`QuantStore::snap`] writes each
+//! quantised tensor back into the `ParamStore` in place, as
+//! `decode(encode(w))`: the resident weights stay f32, but every value
+//! sits on its audited grid. From then on the ordinary f32 executors
+//! score the snapped model, so a quantised session is bitwise-equal to
+//! eager prediction over the same snapped weights, at every
+//! `HIERGAT_THREADS` width, under the existing f32 contracts.
+//! [`QuantStoreReport::bytes_quantised`] is the size the grids need, not
+//! resident memory.
 
 use crate::absint::{audit_graph, AbsintConfig, AuditReport, QuantEntry};
 use crate::lint::Severity;
 use crate::params::{ParamId, ParamStore};
-use crate::plan::ExecutionPlan;
 use crate::tape::{Op, Tape, Var};
 use hiergat_tensor::quant::{
-    f16_decode_slice, f16_decode_slice_le, f16_encode_slice, f16_encode_slice_le,
-    f32_decode_slice_le, f32_encode_slice_le, matmul_u8_into, transpose_u8_into, u8_decode_slice,
-    u8_encode_slice, F16_MAX, MAX_U8_GEMM_DEPTH,
+    f16_decode_slice, f16_encode_slice, u8_decode_slice, u8_encode_slice, F16_MAX,
 };
-use hiergat_tensor::{
-    log_softmax_rows_inplace, matmul_into, matmul_nt_into, matmul_tn_into, row_moments_into,
-    softmax_rows_inplace,
-};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Storage class the audit proved feasible for one tensor.
@@ -87,15 +48,6 @@ impl QuantClass {
             QuantClass::Int8 => "int8",
             QuantClass::F16 => "f16",
             QuantClass::F32 => "f32",
-        }
-    }
-
-    /// Storage bytes per element.
-    pub fn bytes_per_elem(self) -> usize {
-        match self {
-            QuantClass::Int8 => 1,
-            QuantClass::F16 => 2,
-            QuantClass::F32 => 4,
         }
     }
 }
@@ -128,12 +80,6 @@ pub enum QuantError {
         /// Finding count at or above the gate.
         findings: usize,
     },
-    /// The graph contains an op the forward-only quantised interpreter
-    /// does not execute (training losses).
-    UnsupportedOp {
-        /// Diagnostic op name.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for QuantError {
@@ -149,9 +95,6 @@ impl fmt::Display for QuantError {
             }
             QuantError::Unsafe { findings } => {
                 write!(f, "quantise: audit reported {findings} numerical-safety finding(s)")
-            }
-            QuantError::UnsupportedOp { op } => {
-                write!(f, "quantise: op '{op}' is not part of the forward-only inference engine")
             }
         }
     }
@@ -194,11 +137,6 @@ pub struct Codec {
 }
 
 impl Codec {
-    /// The f32 passthrough codec.
-    pub fn f32() -> Codec {
-        Codec { class: QuantClass::F32, scale: 0.0, zero_point: 0 }
-    }
-
     /// Builds the codec a feasibility-table entry prescribes.
     pub fn from_entry(e: &QuantEntry) -> Codec {
         let class = match e.class.as_str() {
@@ -256,9 +194,8 @@ impl QuantData {
         }
     }
 
-    /// Decodes into `out` (resized to fit).
-    pub fn decode_into(&self, codec: &Codec, out: &mut Vec<f32>) {
-        out.resize(self.len(), 0.0);
+    /// Decodes into `out`, which must hold exactly [`Self::len`] values.
+    pub fn decode_into(&self, codec: &Codec, out: &mut [f32]) {
         match self {
             QuantData::Int8(q) => u8_decode_slice(q, codec.scale, codec.zero_point, out),
             QuantData::F16(bits) => f16_decode_slice(bits, out),
@@ -305,39 +242,29 @@ pub fn encode_checked(
     }
 }
 
-/// Per-parameter storage slot in a [`QuantStore`].
-#[derive(Debug, Clone)]
-enum StoredParam {
-    /// Quantised copy; the f32 original in the `ParamStore` is no longer
-    /// read by the quantised executor.
-    Quantised { codec: Codec, data: QuantData },
-    /// f32 passthrough: read straight from the `ParamStore` (either the
-    /// audit classified the tensor f32, or no audited graph reached it).
-    Plain,
-}
-
 /// Weight-byte accounting for a quantised parameter set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QuantStoreReport {
-    /// Parameters stored as int8.
+    /// Parameters on an int8 grid.
     pub int8_params: usize,
-    /// Parameters stored as f16.
+    /// Parameters on the f16 grid.
     pub f16_params: usize,
     /// Parameters left f32 (classified f32, or unreached by the audit).
     pub f32_params: usize,
     /// Bytes the same parameters occupy in f32.
     pub bytes_f32: u64,
-    /// Bytes after quantisation (f32 passthroughs counted at 4 bytes).
+    /// Bytes the audited grids need (f32 parameters counted at 4 bytes).
+    /// The snapped weights stay resident as f32, so this is the size a
+    /// grid-encoded copy would take, not resident memory.
     pub bytes_quantised: u64,
 }
 
-/// Audit-driven quantised parameter storage, built once per session by
-/// the rejecting quantiser and immutable (shareable across score-batch
-/// workers) afterwards.
+/// The audited, grid-encoded copy of every parameter the feasibility
+/// table classifies below f32, built by the rejecting quantiser. Nothing
+/// about the model changes until [`Self::snap`] writes it back.
 #[derive(Debug, Clone)]
 pub struct QuantStore {
-    cfg: QuantConfig,
-    params: Vec<StoredParam>,
+    quantised: Vec<(ParamId, Codec, QuantData)>,
     report: QuantStoreReport,
 }
 
@@ -359,44 +286,32 @@ impl QuantStore {
         if findings > 0 {
             return Err(QuantError::Unsafe { findings });
         }
-        let mut params = vec![StoredParam::Plain; store.len()];
+        let mut seen = vec![false; store.len()];
+        let mut quantised = Vec::new();
         for e in &audit.quant {
             let Op::Param(pid) = tape.op_at(e.op_index) else { continue };
             let codec = Codec::from_entry(e);
-            if codec.class == QuantClass::F32 {
+            if codec.class == QuantClass::F32 || std::mem::replace(&mut seen[pid.index()], true) {
                 continue;
             }
             let range = &audit.ranges[e.op_index];
             let vals = store.value(*pid).as_slice();
             let data = encode_checked(vals, range.lo, range.hi, &codec, store.name(*pid))?;
-            params[pid.index()] = StoredParam::Quantised { codec, data };
+            quantised.push((*pid, codec, data));
         }
-        let mut report = QuantStoreReport::default();
-        for (slot, (_, _, t)) in params.iter().zip(store.iter()) {
-            let elems = t.as_slice().len() as u64;
-            report.bytes_f32 += 4 * elems;
-            match slot {
-                StoredParam::Quantised { codec, data } => {
-                    report.bytes_quantised += data.bytes();
-                    match codec.class {
-                        QuantClass::Int8 => report.int8_params += 1,
-                        QuantClass::F16 => report.f16_params += 1,
-                        QuantClass::F32 => report.f32_params += 1,
-                    }
-                }
-                StoredParam::Plain => {
-                    report.bytes_quantised += 4 * elems;
-                    report.f32_params += 1;
-                }
+        let bytes_f32 = 4 * store.num_scalars() as u64;
+        let mut report =
+            QuantStoreReport { bytes_f32, bytes_quantised: bytes_f32, ..Default::default() };
+        for (_, codec, data) in &quantised {
+            report.bytes_quantised -= 4 * data.len() as u64 - data.bytes();
+            match codec.class {
+                QuantClass::Int8 => report.int8_params += 1,
+                QuantClass::F16 => report.f16_params += 1,
+                QuantClass::F32 => {}
             }
         }
-        Ok((QuantStore { cfg: cfg.clone(), params, report }, audit))
-    }
-
-    /// The seeding config this store was built with (new graph shapes are
-    /// audited with the same config at plan time).
-    pub fn config(&self) -> &QuantConfig {
-        &self.cfg
+        report.f32_params = store.len() - quantised.len();
+        Ok((QuantStore { quantised, report }, audit))
     }
 
     /// Weight-byte accounting.
@@ -404,898 +319,13 @@ impl QuantStore {
         self.report
     }
 
-    /// The codec a parameter is stored with (f32 when passthrough).
-    pub fn param_codec(&self, id: ParamId) -> Codec {
-        match self.params.get(id.index()) {
-            Some(StoredParam::Quantised { codec, .. }) => *codec,
-            _ => Codec::f32(),
+    /// Writes every quantised parameter back into `store` in place, as
+    /// `decode(encode(w))`: the values stay f32 but land on their audited
+    /// grids. `store` must be the one [`Self::build`] read.
+    pub fn snap(&self, store: &mut ParamStore) {
+        for (pid, codec, data) in &self.quantised {
+            data.decode_into(codec, store.value_mut(*pid).as_mut_slice());
         }
-    }
-
-    fn raw_u8(&self, id: ParamId) -> Option<(&[u8], f32, u8)> {
-        match self.params.get(id.index()) {
-            Some(StoredParam::Quantised {
-                codec: Codec { class: QuantClass::Int8, scale, zero_point },
-                data: QuantData::Int8(q),
-            }) => Some((q, *scale, *zero_point)),
-            _ => None,
-        }
-    }
-
-    /// Decodes only the indexed rows of parameter `id` (row-major, `cols`
-    /// columns per row) straight into `out`, never materialising the full
-    /// table. Returns `false` for passthrough parameters, which gather
-    /// zero-copy from the `ParamStore` instead.
-    fn gather_rows_into(
-        &self,
-        id: ParamId,
-        indices: &[usize],
-        cols: usize,
-        out: &mut [f32],
-    ) -> bool {
-        let Some(StoredParam::Quantised { codec, data }) = self.params.get(id.index()) else {
-            return false;
-        };
-        match data {
-            QuantData::Int8(q) => {
-                for (dst, &idx) in out.chunks_exact_mut(cols).zip(indices) {
-                    u8_decode_slice(
-                        &q[idx * cols..(idx + 1) * cols],
-                        codec.scale,
-                        codec.zero_point,
-                        dst,
-                    );
-                }
-            }
-            QuantData::F16(bits) => {
-                for (dst, &idx) in out.chunks_exact_mut(cols).zip(indices) {
-                    f16_decode_slice(&bits[idx * cols..(idx + 1) * cols], dst);
-                }
-            }
-            QuantData::F32(v) => {
-                for (dst, &idx) in out.chunks_exact_mut(cols).zip(indices) {
-                    dst.copy_from_slice(&v[idx * cols..(idx + 1) * cols]);
-                }
-            }
-        }
-        true
-    }
-
-    /// Decodes parameter `id` into `buf` and returns the slice — or the
-    /// original f32 slice, copy-free, for passthrough parameters.
-    fn fetch<'a>(&'a self, store: &'a ParamStore, id: ParamId, buf: &'a mut Vec<f32>) -> &'a [f32] {
-        match &self.params[id.index()] {
-            StoredParam::Quantised { codec, data } => {
-                data.decode_into(codec, buf);
-                buf
-            }
-            StoredParam::Plain => store.value(id).as_slice(),
-        }
-    }
-}
-
-/// Marker word prefixed to quantised plan signatures so a quantised plan
-/// can never alias an f32 plan even if the caches were merged.
-const QUANT_SIG_MARKER: u64 = 0x5155_414e_545f_3031; // "QUANT_01"
-
-fn quant_signature(tape: &Tape, root: Var) -> Vec<u64> {
-    let mut sig = vec![QUANT_SIG_MARKER, root.index() as u64, u64::from(tape.is_optimized())];
-    for i in 0..=root.index() {
-        let op = tape.op_at(i);
-        let (r, c) = tape.value(Var::from_index(i)).shape();
-        let ins = op.inputs();
-        sig.extend([op.tag(), r as u64, c as u64, ins.len() as u64]);
-        sig.extend(ins.iter().map(|v| v.index() as u64));
-    }
-    sig
-}
-
-fn hash_signature(sig: &[u64]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    sig.hash(&mut h);
-    h.finish()
-}
-
-/// One node's storage assignment inside a [`QuantPlan`].
-#[derive(Debug, Clone, Copy)]
-struct NodeSlot {
-    /// `false` = unreachable from the root (never executed or read).
-    live: bool,
-    codec: Codec,
-    /// Byte offset inside the shared arena.
-    offset: usize,
-    /// Element count (bytes per element come from the codec class).
-    len: usize,
-    /// `true` when every read happens at the very next timestep: the
-    /// value is handed to its consumer through the previous-output
-    /// buffer and never touches the arena (no encode, no decode, no
-    /// storage — quantisation noise included).
-    transient: bool,
-}
-
-impl Default for NodeSlot {
-    fn default() -> Self {
-        NodeSlot { live: false, codec: Codec::f32(), offset: 0, len: 0, transient: false }
-    }
-}
-
-/// Byte-granular best-fit free-list allocator — the same greedy
-/// discipline `ExecutionPlan` uses, re-run in byte units over the f32
-/// plan's proven lifetimes so every storage class shares one arena.
-#[derive(Default)]
-struct ByteAlloc {
-    /// Free blocks `(offset, len)`, sorted by offset, coalesced.
-    free: Vec<(usize, usize)>,
-    /// Live blocks as `Reverse<(end_time, offset, len)>`.
-    active: BinaryHeap<Reverse<(usize, usize, usize)>>,
-    /// High-water byte count.
-    extent: usize,
-}
-
-impl ByteAlloc {
-    fn release_before(&mut self, time: usize) {
-        while let Some(&Reverse((end, off, len))) = self.active.peek() {
-            if end >= time {
-                break;
-            }
-            self.active.pop();
-            self.insert_free(off, len);
-        }
-    }
-
-    fn insert_free(&mut self, off: usize, len: usize) {
-        let at = self.free.partition_point(|&(o, _)| o < off);
-        self.free.insert(at, (off, len));
-        // Coalesce with the right, then the left, neighbour.
-        if at + 1 < self.free.len() && self.free[at].0 + self.free[at].1 == self.free[at + 1].0 {
-            self.free[at].1 += self.free[at + 1].1;
-            self.free.remove(at + 1);
-        }
-        if at > 0 && self.free[at - 1].0 + self.free[at - 1].1 == self.free[at].0 {
-            self.free[at - 1].1 += self.free[at].1;
-            self.free.remove(at);
-        }
-    }
-
-    fn alloc(&mut self, len: usize, end_time: usize) -> usize {
-        // Smallest free block that fits; ties go to the lowest offset.
-        let mut best: Option<usize> = None;
-        for (i, &(_, flen)) in self.free.iter().enumerate() {
-            if flen >= len && best.is_none_or(|b| flen < self.free[b].1) {
-                best = Some(i);
-            }
-        }
-        let off = if let Some(i) = best {
-            let (off, flen) = self.free[i];
-            if flen == len {
-                self.free.remove(i);
-            } else {
-                self.free[i] = (off + len, flen - len);
-            }
-            off
-        } else if self.free.last().is_some_and(|&(o, l)| o + l == self.extent) {
-            // No block fits, but the last one touches the high-water mark:
-            // extend the arena from its start instead of past its end.
-            let (off, _) = self.free.pop().unwrap_or((self.extent, 0));
-            self.extent = off + len;
-            off
-        } else {
-            let off = self.extent;
-            self.extent += len;
-            off
-        };
-        self.active.push(Reverse((end_time, off, len)));
-        off
-    }
-}
-
-/// Ahead-of-time storage plan for one quantised graph shape: per-node
-/// codecs from the feasibility table, byte offsets in one shared arena
-/// packed from the f32 inference plan's liveness.
-#[derive(Debug)]
-pub struct QuantPlan {
-    signature: Vec<u64>,
-    nodes: Vec<NodeSlot>,
-    /// High-water byte count of the shared arena.
-    arena_extent: usize,
-    max_node_elems: usize,
-    max_rows: usize,
-    /// Live activation-node counts per class (int8, f16, f32).
-    class_nodes: (usize, usize, usize),
-    /// Arena bytes the plain f32 inference plan needs for this shape.
-    f32_arena_bytes: u64,
-}
-
-impl QuantPlan {
-    /// Audits `tape` up to `root` (same seeding as the store) and packs
-    /// the shared byte arena. Fails on audit findings or on graphs
-    /// containing training-only ops.
-    pub fn build(
-        tape: &Tape,
-        root: Var,
-        store: &ParamStore,
-        cfg: &QuantConfig,
-    ) -> Result<QuantPlan, QuantError> {
-        for i in 0..=root.index() {
-            if matches!(
-                tape.op_at(i),
-                Op::CrossEntropyLogits { .. }
-                    | Op::WeightedCrossEntropyLogits { .. }
-                    | Op::BceWithLogits { .. }
-                    | Op::MseLoss { .. }
-            ) {
-                return Err(QuantError::UnsupportedOp { op: tape.op_name(i) });
-            }
-        }
-        let audit = audit_graph(tape, root, store, &cfg.audit_config());
-        let findings = audit.findings.iter().filter(|f| f.severity >= Severity::Warn).count();
-        if findings > 0 {
-            return Err(QuantError::Unsafe { findings });
-        }
-        let mut codecs = vec![Codec::f32(); tape.len()];
-        for e in &audit.quant {
-            codecs[e.op_index] = Codec::from_entry(e);
-        }
-        // The root score feeds a decision threshold downstream; snapping
-        // it to an int8 grid flips near-threshold decisions for zero
-        // storage benefit, so the output always stays f32.
-        codecs[root.index()] = Codec::f32();
-        let plan = ExecutionPlan::build_inference(tape, root);
-        let mut nodes = vec![NodeSlot::default(); tape.len()];
-        let mut slots: Vec<_> = plan.slots().iter().filter(|s| !s.grad).collect();
-        slots.sort_by_key(|s| s.start_time);
-        let mut alloc = ByteAlloc::default();
-        let mut mirror_extent = 0usize;
-        let mut class_nodes = (0usize, 0usize, 0usize);
-        let mut max_node_elems = 0usize;
-        let mut max_rows = 0usize;
-        for s in &slots {
-            let codec = codecs[s.node];
-            let len = s.span.len;
-            let (rows, _) = tape.value(Var::from_index(s.node)).shape();
-            max_node_elems = max_node_elems.max(len);
-            max_rows = max_rows.max(rows);
-            // Round every block up to a 4-byte multiple: mixed 1/2/4-byte
-            // node sizes otherwise fragment the free list badly enough to
-            // overshoot the f32 arena on int8/f32-interleaved graphs, while
-            // uniform granularity keeps the packing elem-like (each block
-            // still needs at most what its f32 twin needed).
-            // A value whose liveness ends at the very next timestep is
-            // handed to its consumer through the previous-output buffer:
-            // no encode, no decode, no arena block at all.
-            let transient = s.end_time == s.start_time + 1 && s.node != root.index();
-            // Round every block up to a 4-byte multiple: mixed 1/2/4-byte
-            // node sizes otherwise fragment the free list badly enough to
-            // overshoot the f32 arena on int8/f32-interleaved graphs.
-            let bytes = if transient { 0 } else { (len * codec.class.bytes_per_elem() + 3) & !3 };
-            let offset = if bytes == 0 {
-                0
-            } else {
-                alloc.release_before(s.start_time);
-                alloc.alloc(bytes, s.end_time)
-            };
-            // Mirror packing: the f32 plan's element offsets scaled to
-            // bytes. Shrunk blocks stay inside their f32 twin's span, so
-            // disjointness is inherited and the extent never exceeds the
-            // f32 arena — a guaranteed fallback when greedy best-fit hits
-            // a packing anomaly on the smaller mixed sizes.
-            mirror_extent = mirror_extent.max(4 * s.span.start + bytes);
-            match codec.class {
-                QuantClass::Int8 => class_nodes.0 += 1,
-                QuantClass::F16 => class_nodes.1 += 1,
-                QuantClass::F32 => class_nodes.2 += 1,
-            }
-            nodes[s.node] = NodeSlot { live: true, codec, offset, len, transient };
-        }
-        if mirror_extent < alloc.extent {
-            for s in &slots {
-                if !nodes[s.node].transient {
-                    nodes[s.node].offset = 4 * s.span.start;
-                }
-            }
-            alloc.extent = mirror_extent;
-        }
-        Ok(QuantPlan {
-            signature: quant_signature(tape, root),
-            nodes,
-            arena_extent: alloc.extent,
-            max_node_elems,
-            max_rows,
-            class_nodes,
-            f32_arena_bytes: plan.report().arena_bytes,
-        })
-    }
-
-    /// Bytes of shared-arena storage the plan needs.
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena_extent as u64
-    }
-
-    /// Arena bytes the plain f32 inference plan needs for the same shape.
-    pub fn f32_arena_bytes(&self) -> u64 {
-        self.f32_arena_bytes
-    }
-
-    /// Live activation-node counts per class `(int8, f16, f32)`.
-    pub fn class_nodes(&self) -> (usize, usize, usize) {
-        self.class_nodes
-    }
-}
-
-/// Reusable decode scratch, split out of the executor so operand reads
-/// and the result buffer can be borrowed simultaneously.
-#[derive(Default)]
-struct QuantScratch {
-    in0: Vec<f32>,
-    in1: Vec<f32>,
-    in2: Vec<f32>,
-    out: Vec<f32>,
-    /// The previously computed node's full-precision value; consumers
-    /// executing at the very next timestep read it here instead of
-    /// decoding the arena (and transient producers never encode at all).
-    prev: Vec<f32>,
-    /// Interleaved per-row layer-norm moments.
-    moments: Vec<f32>,
-    /// u8 transpose staging for the NT/TN integer matmul routes.
-    u8t: Vec<u8>,
-}
-
-/// Executes quantised inference tapes through cached [`QuantPlan`]s with
-/// zero allocations in steady state (the arena and scratch grow once per
-/// shape, then replay).
-#[derive(Default)]
-pub struct QuantExecutor {
-    plans: HashMap<u64, QuantPlan>,
-    arena: Vec<u8>,
-    scratch: QuantScratch,
-}
-
-impl QuantExecutor {
-    /// An executor with no cached plans.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct graph shapes planned so far.
-    pub fn plans_cached(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Bytes of arena storage this executor currently owns (peak across
-    /// all shapes it has replayed; decode scratch excluded by the same
-    /// convention that keeps pack buffers out of the f32 budget).
-    pub fn arena_capacity_bytes(&self) -> u64 {
-        self.arena.len() as u64
-    }
-
-    /// Looks up (or builds) the quantised plan for this tape's shape.
-    pub fn plan_for(
-        &mut self,
-        tape: &Tape,
-        root: Var,
-        store: &ParamStore,
-        qstore: &QuantStore,
-    ) -> Result<&QuantPlan, QuantError> {
-        let key = self.ensure_plan(tape, root, store, qstore)?;
-        Ok(&self.plans[&key])
-    }
-
-    /// Looks up (building on miss) the plan for `tape`'s shape and returns
-    /// its cache key — the signature is computed exactly once per call.
-    fn ensure_plan(
-        &mut self,
-        tape: &Tape,
-        root: Var,
-        store: &ParamStore,
-        qstore: &QuantStore,
-    ) -> Result<u64, QuantError> {
-        let sig = quant_signature(tape, root);
-        let key = hash_signature(&sig);
-        if self.plans.len() > 512 && !self.plans.contains_key(&key) {
-            self.plans.clear();
-        }
-        if !self.plans.contains_key(&key) {
-            let plan = QuantPlan::build(tape, root, store, qstore.config())?;
-            self.plans.insert(key, plan);
-        } else if self.plans[&key].signature != sig {
-            // Hash collision between distinct shapes: rebuild.
-            let plan = QuantPlan::build(tape, root, store, qstore.config())?;
-            self.plans.insert(key, plan);
-        }
-        Ok(key)
-    }
-
-    /// Replays `tape` up to `root` through the quantised plan and writes
-    /// the decoded output values (row-major) into `out`.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` differs from the element count of `root`.
-    pub fn infer_into(
-        &mut self,
-        tape: &Tape,
-        root: Var,
-        store: &ParamStore,
-        qstore: &QuantStore,
-        out: &mut [f32],
-    ) -> Result<(), QuantError> {
-        let key = self.ensure_plan(tape, root, store, qstore)?;
-        let plan = &self.plans[&key];
-        grow_u8(&mut self.arena, plan.arena_extent);
-        grow_f32(&mut self.scratch.in0, plan.max_node_elems);
-        grow_f32(&mut self.scratch.in1, plan.max_node_elems);
-        grow_f32(&mut self.scratch.in2, plan.max_node_elems);
-        grow_f32(&mut self.scratch.out, plan.max_node_elems);
-        grow_f32(&mut self.scratch.prev, plan.max_node_elems);
-        grow_f32(&mut self.scratch.moments, 2 * plan.max_rows);
-        run_quant_forward(plan, tape, store, qstore, &mut self.arena, &mut self.scratch, root);
-        let (yr, yc) = tape.value(root).shape();
-        assert_eq!(out.len(), yr * yc, "quant infer_into: output buffer size mismatch");
-        match tape.op_at(root.index()) {
-            Op::Input => out.copy_from_slice(tape.value(root).as_slice()),
-            Op::Param(pid) => {
-                let slice = qstore.fetch(store, *pid, &mut self.scratch.in0);
-                out.copy_from_slice(slice);
-            }
-            _ => {
-                let slot = &plan.nodes[root.index()];
-                decode_slot(slot, &self.arena, &mut self.scratch.in0);
-                out.copy_from_slice(&self.scratch.in0[..slot.len]);
-            }
-        }
-        Ok(())
-    }
-}
-
-fn grow_f32(buf: &mut Vec<f32>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-}
-
-fn grow_u8(buf: &mut Vec<u8>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-}
-
-/// Decodes one arena slot into `buf` (resized to the slot length).
-/// f16/f32 values live in the byte arena as little-endian bytes, so
-/// every class decodes with an elementwise copy — no alignment needed.
-fn decode_slot(slot: &NodeSlot, arena: &[u8], buf: &mut Vec<f32>) {
-    buf.resize(slot.len, 0.0);
-    let (off, len) = (slot.offset, slot.len);
-    match slot.codec.class {
-        QuantClass::Int8 => u8_decode_slice(
-            &arena[off..off + len],
-            slot.codec.scale,
-            slot.codec.zero_point,
-            &mut buf[..len],
-        ),
-        QuantClass::F16 => f16_decode_slice_le(&arena[off..off + 2 * len], &mut buf[..len]),
-        QuantClass::F32 => f32_decode_slice_le(&arena[off..off + 4 * len], &mut buf[..len]),
-    }
-}
-
-/// Operand fetch: leaves come from the tape / quantised store, the
-/// previously computed node comes straight from the previous-output
-/// buffer (full precision, no decode), and everything else decodes from
-/// the shared arena into `buf`.
-#[allow(clippy::too_many_arguments)]
-fn fetch<'a>(
-    plan: &QuantPlan,
-    tape: &'a Tape,
-    store: &'a ParamStore,
-    qstore: &'a QuantStore,
-    arena: &'a [u8],
-    prev: Option<(usize, &'a [f32])>,
-    v: Var,
-    buf: &'a mut Vec<f32>,
-) -> &'a [f32] {
-    if let Some((pn, pv)) = prev {
-        if pn == v.index() {
-            return &pv[..plan.nodes[pn].len];
-        }
-    }
-    match tape.op_at(v.index()) {
-        Op::Input => tape.value(v).as_slice(),
-        Op::Param(pid) => qstore.fetch(store, *pid, buf),
-        _ => {
-            let slot = &plan.nodes[v.index()];
-            debug_assert!(
-                slot.live && !slot.transient,
-                "quant fetch of an unplanned or expired transient node"
-            );
-            decode_slot(slot, arena, buf);
-            &buf[..slot.len]
-        }
-    }
-}
-
-/// Raw int8 view of an operand, if (and only if) it is stored int8:
-/// quantised parameters and int8-class arena nodes qualify (int8 slots
-/// are contiguous raw code bytes in the shared arena). Transient nodes
-/// have no codes — their consumers take the f32 route via [`fetch`].
-fn fetch_u8<'a>(
-    plan: &QuantPlan,
-    tape: &Tape,
-    qstore: &'a QuantStore,
-    arena: &'a [u8],
-    v: Var,
-) -> Option<(&'a [u8], f32, u8)> {
-    match tape.op_at(v.index()) {
-        Op::Input => None,
-        Op::Param(pid) => qstore.raw_u8(*pid),
-        _ => {
-            let slot = &plan.nodes[v.index()];
-            if slot.live && !slot.transient && slot.codec.class == QuantClass::Int8 {
-                Some((
-                    &arena[slot.offset..slot.offset + slot.len],
-                    slot.codec.scale,
-                    slot.codec.zero_point,
-                ))
-            } else {
-                None
-            }
-        }
-    }
-}
-
-/// Encodes the computed node value into its arena slot (little-endian
-/// bytes for the f16/f32 classes).
-fn encode_slot(slot: &NodeSlot, src: &[f32], arena: &mut [u8]) {
-    let (off, len) = (slot.offset, slot.len);
-    match slot.codec.class {
-        QuantClass::Int8 => {
-            u8_encode_slice(
-                &src[..len],
-                slot.codec.scale,
-                slot.codec.zero_point,
-                &mut arena[off..off + len],
-            );
-        }
-        QuantClass::F16 => f16_encode_slice_le(&src[..len], &mut arena[off..off + 2 * len]),
-        QuantClass::F32 => f32_encode_slice_le(&src[..len], &mut arena[off..off + 4 * len]),
-    }
-}
-
-/// Replays the forward pass through the shared arena. Every arm mirrors
-/// the f32 executor's arithmetic on decoded operands — same kernels,
-/// same scalar expressions — and the int8 matmul route substitutes the
-/// exact integer GEMM.
-#[allow(clippy::too_many_lines)]
-fn run_quant_forward(
-    plan: &QuantPlan,
-    tape: &Tape,
-    store: &ParamStore,
-    qstore: &QuantStore,
-    arena: &mut [u8],
-    sc: &mut QuantScratch,
-    root: Var,
-) {
-    let mut prev_node: Option<usize> = None;
-    for i in 0..=root.index() {
-        let slot = plan.nodes[i];
-        if !slot.live || slot.len == 0 {
-            continue;
-        }
-        let op = tape.op_at(i);
-        if matches!(op, Op::Input | Op::Param(_)) {
-            continue;
-        }
-        let (yr, yc) = tape.value(Var::from_index(i)).shape();
-        let prevv: Option<(usize, &[f32])> = prev_node.map(|n| (n, sc.prev.as_slice()));
-        let out = &mut sc.out;
-        out.resize(slot.len, 0.0);
-        let o = &mut out[..slot.len];
-        match op {
-            Op::Input | Op::Param(_) => unreachable!("leaves skipped above"),
-            Op::Add(a, b) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] + bv[k];
-                }
-            }
-            Op::Sub(a, b) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] - bv[k];
-                }
-            }
-            Op::Mul(a, b) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] * bv[k];
-                }
-            }
-            Op::Div(a, b) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] / bv[k];
-                }
-            }
-            Op::Scale(a, k0) => {
-                let k0 = *k0;
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] * k0;
-                }
-            }
-            Op::AddScalar(a, k0) => {
-                let k0 = *k0;
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] + k0;
-                }
-            }
-            Op::AddRow(a, row) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let rv = fetch(plan, tape, store, qstore, arena, prevv, *row, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] + rv[k % yc];
-                }
-            }
-            Op::AddCol(a, col) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let cv = fetch(plan, tape, store, qstore, arena, prevv, *col, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] + cv[k / yc];
-                }
-            }
-            Op::MulCol(a, col) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                let cv = fetch(plan, tape, store, qstore, arena, prevv, *col, &mut sc.in1);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k] * cv[k / yc];
-                }
-            }
-            Op::Matmul(a, b) => {
-                let (_, ac) = tape.value(*a).shape();
-                let qa = fetch_u8(plan, tape, qstore, arena, *a);
-                let qb = fetch_u8(plan, tape, qstore, arena, *b);
-                match (qa, qb) {
-                    (Some((aq, sa, za)), Some((bq, sb, zb))) if ac <= MAX_U8_GEMM_DEPTH => {
-                        matmul_u8_into(aq, za, bq, zb, sa * sb, o, yr, ac, yc);
-                    }
-                    _ => {
-                        let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                        let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                        matmul_into(av, bv, o, yr, ac, yc);
-                    }
-                }
-            }
-            Op::MatmulNt(a, b) => {
-                // C = A · Bᵀ with B `yc x ac`: transpose the int8 codes and
-                // reuse the NN integer GEMM, else decode and use the f32
-                // NT kernel.
-                let (_, ac) = tape.value(*a).shape();
-                let qa = fetch_u8(plan, tape, qstore, arena, *a);
-                let qb = fetch_u8(plan, tape, qstore, arena, *b);
-                match (qa, qb) {
-                    (Some((aq, sa, za)), Some((bq, sb, zb))) if ac <= MAX_U8_GEMM_DEPTH => {
-                        sc.u8t.resize(bq.len(), 0);
-                        transpose_u8_into(bq, &mut sc.u8t, yc, ac);
-                        matmul_u8_into(aq, za, &sc.u8t, zb, sa * sb, o, yr, ac, yc);
-                    }
-                    _ => {
-                        let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                        let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                        matmul_nt_into(av, bv, o, yr, ac, yc);
-                    }
-                }
-            }
-            Op::MatmulTn(a, b) => {
-                // C = Aᵀ · B with A `ar x yr`: transpose the int8 codes and
-                // reuse the NN integer GEMM, else decode and use the f32
-                // TN kernel.
-                let (ar, _) = tape.value(*a).shape();
-                let qa = fetch_u8(plan, tape, qstore, arena, *a);
-                let qb = fetch_u8(plan, tape, qstore, arena, *b);
-                match (qa, qb) {
-                    (Some((aq, sa, za)), Some((bq, sb, zb))) if ar <= MAX_U8_GEMM_DEPTH => {
-                        sc.u8t.resize(aq.len(), 0);
-                        transpose_u8_into(aq, &mut sc.u8t, ar, yr);
-                        matmul_u8_into(&sc.u8t, za, bq, zb, sa * sb, o, yr, ar, yc);
-                    }
-                    _ => {
-                        let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                        let bv = fetch(plan, tape, store, qstore, arena, prevv, *b, &mut sc.in1);
-                        matmul_tn_into(av, bv, o, ar, yr, yc);
-                    }
-                }
-            }
-            Op::Transpose(a) => {
-                let (ar, ac) = tape.value(*a).shape();
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[(k % ar) * ac + k / ar];
-                }
-            }
-            Op::SumAll(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                o[0] = av.iter().sum();
-            }
-            Op::MeanAll(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                o[0] = if av.is_empty() { 0.0 } else { av.iter().sum::<f32>() / av.len() as f32 };
-            }
-            Op::SumRows(a) => {
-                let (ar, _) = tape.value(*a).shape();
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                o.fill(0.0);
-                for r in 0..ar {
-                    for j in 0..yc {
-                        o[j] += av[r * yc + j];
-                    }
-                }
-            }
-            Op::SumCols(a) => {
-                let (_, ac) = tape.value(*a).shape();
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for r in 0..yr {
-                    o[r] = av[r * ac..(r + 1) * ac].iter().sum();
-                }
-            }
-            Op::MaxCols(a) => {
-                let (_, ac) = tape.value(*a).shape();
-                assert!(ac > 0, "max_cols: tensor has no columns");
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for r in 0..yr {
-                    o[r] =
-                        av[r * ac..(r + 1) * ac].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                }
-            }
-            Op::Softmax(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                o.copy_from_slice(av);
-                softmax_rows_inplace(o, yr, yc);
-            }
-            Op::LogSoftmax(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                o.copy_from_slice(av);
-                log_softmax_rows_inplace(o, yr, yc);
-            }
-            Op::Exp(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k].exp();
-                }
-            }
-            Op::Ln(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k].ln();
-                }
-            }
-            Op::Sqrt(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k].sqrt();
-                }
-            }
-            Op::Relu(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k].max(0.0);
-                }
-            }
-            Op::LeakyRelu(a, alpha) => {
-                let al = *alpha;
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = if av[k] >= 0.0 { av[k] } else { al * av[k] };
-                }
-            }
-            Op::Tanh(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = av[k].tanh();
-                }
-            }
-            Op::Sigmoid(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = 1.0 / (1.0 + (-av[k]).exp());
-                }
-            }
-            Op::Gelu(a) => {
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *a, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = hiergat_tensor::gelu_scalar(av[k]);
-                }
-            }
-            Op::LayerNorm { x, gamma, beta, eps } => {
-                let eps = *eps;
-                let xs = fetch(plan, tape, store, qstore, arena, prevv, *x, &mut sc.in0);
-                row_moments_into(xs, &mut sc.moments[..2 * yr], yr, yc);
-                let gs = fetch(plan, tape, store, qstore, arena, prevv, *gamma, &mut sc.in1);
-                let bs = fetch(plan, tape, store, qstore, arena, prevv, *beta, &mut sc.in2);
-                let sb = &sc.moments;
-                for (k, d) in o.iter_mut().enumerate() {
-                    let r = k / yc;
-                    let j = k % yc;
-                    let m = sb[2 * r];
-                    let inv = 1.0 / (sb[2 * r + 1] + eps).sqrt();
-                    *d = (xs[k] - m) * inv * gs[j] + bs[j];
-                }
-            }
-            Op::ConcatCols(parts) => {
-                let mut off = 0;
-                for &p in parts {
-                    let (_, pc) = tape.value(p).shape();
-                    let pv = fetch(plan, tape, store, qstore, arena, prevv, p, &mut sc.in0);
-                    for r in 0..yr {
-                        o[r * yc + off..r * yc + off + pc]
-                            .copy_from_slice(&pv[r * pc..(r + 1) * pc]);
-                    }
-                    off += pc;
-                }
-            }
-            Op::ConcatRows(parts) => {
-                let mut off = 0;
-                for &p in parts {
-                    let (pr, pc) = tape.value(p).shape();
-                    let pv = fetch(plan, tape, store, qstore, arena, prevv, p, &mut sc.in0);
-                    o[off..off + pr * pc].copy_from_slice(pv);
-                    off += pr * pc;
-                }
-            }
-            Op::SliceCols { x, start, len } => {
-                let (start, len) = (*start, *len);
-                let (_, ac) = tape.value(*x).shape();
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *x, &mut sc.in0);
-                for r in 0..yr {
-                    o[r * len..(r + 1) * len]
-                        .copy_from_slice(&av[r * ac + start..r * ac + start + len]);
-                }
-            }
-            Op::SliceRows { x, start, .. } => {
-                let start = *start;
-                let (_, ac) = tape.value(*x).shape();
-                let av = fetch(plan, tape, store, qstore, arena, prevv, *x, &mut sc.in0);
-                o.copy_from_slice(&av[start * ac..start * ac + yr * ac]);
-            }
-            Op::GatherRows { table, indices } => {
-                let (_, tc) = tape.value(*table).shape();
-                // Embedding tables are the largest parameters in the store;
-                // decode only the gathered rows instead of the whole table.
-                let gathered = match tape.op_at(table.index()) {
-                    Op::Param(pid) => qstore.gather_rows_into(*pid, indices, tc, o),
-                    _ => false,
-                };
-                if !gathered {
-                    let tv = fetch(plan, tape, store, qstore, arena, prevv, *table, &mut sc.in0);
-                    for (r, &idx) in indices.iter().enumerate() {
-                        o[r * tc..(r + 1) * tc].copy_from_slice(&tv[idx * tc..(idx + 1) * tc]);
-                    }
-                }
-            }
-            Op::Dropout { x, mask } => {
-                let ms = mask.as_slice();
-                let xs = fetch(plan, tape, store, qstore, arena, prevv, *x, &mut sc.in0);
-                for (k, d) in o.iter_mut().enumerate() {
-                    *d = xs[k] * ms[k];
-                }
-            }
-            Op::CrossEntropyLogits { .. }
-            | Op::WeightedCrossEntropyLogits { .. }
-            | Op::BceWithLogits { .. }
-            | Op::MseLoss { .. } => {
-                unreachable!("loss ops rejected at plan build")
-            }
-        }
-        if !slot.transient {
-            encode_slot(&slot, o, arena);
-        }
-        // The freshly computed value becomes the previous-output buffer:
-        // a consumer at the next timestep reads it at full precision
-        // instead of decoding the arena.
-        std::mem::swap(&mut sc.out, &mut sc.prev);
-        prev_node = Some(i);
     }
 }
 
@@ -1378,39 +408,31 @@ mod tests {
 
     #[test]
     fn quantised_forward_matches_f32_reference() {
-        let (store, wid, bid) = fixture_store();
+        let (mut store, wid, bid) = fixture_store();
         let mut tape = Tape::new();
         let root = record_fixture(&mut tape, &store, wid, bid);
         let reference = tape.value(root).as_slice().to_vec();
+        let original = [store.value(wid).clone(), store.value(bid).clone()];
 
         let cfg = QuantConfig::default();
-        let (qstore, _) = QuantStore::build(&tape, root, &store, &cfg).expect("quantise fixture");
-        let mut exec = QuantExecutor::new();
-        let mut out = vec![0.0f32; reference.len()];
-        exec.infer_into(&tape, root, &store, &qstore, &mut out).expect("quant infer");
+        let (qstore, audit) =
+            QuantStore::build(&tape, root, &store, &cfg).expect("quantise fixture");
+        qstore.snap(&mut store);
+        // Every weight moved by at most its codec's round-trip bound.
+        for e in audit.quant.iter().filter(|e| e.op_name == "param") {
+            let Op::Param(id) = *tape.op_at(e.op_index) else { panic!("param entry") };
+            let codec = Codec::from_entry(e);
+            let before = original[id.index()].as_slice();
+            for (v, s) in before.iter().zip(store.value(id).as_slice()) {
+                assert!((v - s).abs() <= codec.roundtrip_bound(*v), "{v} snapped to {s}");
+            }
+        }
+        let mut tape = Tape::new();
+        let root = record_fixture(&mut tape, &store, wid, bid);
+        let out = tape.value(root).as_slice();
         for (q, f) in out.iter().zip(&reference) {
             assert!((q - f).abs() < 0.05, "quantised output {q} drifted from f32 reference {f}");
         }
-        // Softmax rows still sum to ~1 after requantisation of the output.
-        let sum: f32 = out.iter().sum();
-        assert!((sum - 1.0).abs() < 0.02, "softmax row sum {sum}");
-    }
-
-    #[test]
-    fn quantised_arena_is_smaller_than_f32_plan() {
-        let (store, wid, bid) = fixture_store();
-        let mut tape = Tape::new();
-        let root = record_fixture(&mut tape, &store, wid, bid);
-        let cfg = QuantConfig::default();
-        let plan = QuantPlan::build(&tape, root, &store, &cfg).expect("plan fixture");
-        assert!(
-            plan.arena_bytes() < plan.f32_arena_bytes(),
-            "quantised arena {} must undercut the f32 arena {}",
-            plan.arena_bytes(),
-            plan.f32_arena_bytes()
-        );
-        let (i8n, _f16n, _f32n) = plan.class_nodes();
-        assert!(i8n > 0, "fixture should prove at least one int8 activation");
     }
 
     #[test]
@@ -1427,39 +449,9 @@ mod tests {
         assert!(matches!(err, QuantError::OutOfInterval { .. }));
         // In-interval values encode fine and land on the affine grid.
         let data = encode_checked(&[0.5], -1.0, 1.0, &codec, "t").expect("in-interval");
-        let mut back = Vec::new();
+        let mut back = [0.0];
         data.decode_into(&codec, &mut back);
         assert!((back[0] - 0.5).abs() <= codec.roundtrip_bound(0.5));
-    }
-
-    #[test]
-    fn loss_ops_are_rejected_by_the_plan() {
-        let (store, wid, bid) = fixture_store();
-        let mut tape = Tape::new();
-        let root = record_fixture(&mut tape, &store, wid, bid);
-        let loss = tape.cross_entropy_logits(root, &[1]);
-        let cfg = QuantConfig::default();
-        let err = QuantPlan::build(&tape, loss, &store, &cfg).expect_err("loss op rejected");
-        assert!(matches!(err, QuantError::UnsupportedOp { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn plan_cache_is_reused_across_same_shape_tapes() {
-        let (store, wid, bid) = fixture_store();
-        let cfg = QuantConfig::default();
-        let mut exec = QuantExecutor::new();
-        let mut qstore = None;
-        for _ in 0..3 {
-            let mut tape = Tape::new();
-            let root = record_fixture(&mut tape, &store, wid, bid);
-            if qstore.is_none() {
-                qstore = Some(QuantStore::build(&tape, root, &store, &cfg).expect("quantise").0);
-            }
-            let qs = qstore.as_ref().expect("built");
-            let mut out = vec![0.0f32; 3];
-            exec.infer_into(&tape, root, &store, qs, &mut out).expect("quant infer");
-        }
-        assert_eq!(exec.plans_cached(), 1, "same shape must reuse one cached plan");
     }
 
     #[test]

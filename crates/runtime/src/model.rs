@@ -77,6 +77,10 @@ pub trait ErModel: Send + Sync {
     /// resolves placeholder parameter nodes against it).
     fn params(&self) -> &ParamStore;
 
+    /// The mutable parameter store ([`crate::Session::quantise`] snaps
+    /// weights onto their audited grids through it).
+    fn params_mut(&mut self) -> &mut ParamStore;
+
     /// Records the eval-mode scoring graph onto `t` and returns the
     /// `n_outputs x 2` softmax-probability node — exactly the graph the
     /// model's eager `predict_*` path evaluates (same RNG seeding, eval
@@ -164,6 +168,9 @@ impl ErModel for HierGatPairwise {
     fn params(&self) -> &ParamStore {
         &self.0.ps
     }
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.0.ps
+    }
     fn record_scores(&self, t: &mut Tape, ex: Example<'_>) -> Var {
         self.0.record_pair_scores(t, ex.expect_pair())
     }
@@ -197,6 +204,9 @@ impl ErModel for HierGatCollective {
     fn params(&self) -> &ParamStore {
         &self.0.ps
     }
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.0.ps
+    }
     fn record_scores(&self, t: &mut Tape, ex: Example<'_>) -> Var {
         self.0.record_collective_scores(t, ex.expect_collective())
     }
@@ -227,6 +237,9 @@ impl ErModel for Ditto {
     fn params(&self) -> &ParamStore {
         PairModel::params(self)
     }
+    fn params_mut(&mut self) -> &mut ParamStore {
+        PairModel::params_mut(self)
+    }
     fn record_scores(&self, t: &mut Tape, ex: Example<'_>) -> Var {
         self.record_pair_scores(t, ex.expect_pair())
     }
@@ -250,6 +263,9 @@ impl ErModel for DeepMatcher {
     }
     fn params(&self) -> &ParamStore {
         PairModel::params(self)
+    }
+    fn params_mut(&mut self) -> &mut ParamStore {
+        PairModel::params_mut(self)
     }
     fn record_scores(&self, t: &mut Tape, ex: Example<'_>) -> Var {
         self.record_pair_scores(t, ex.expect_pair())
@@ -275,6 +291,9 @@ impl ErModel for DmPlus {
     fn params(&self) -> &ParamStore {
         PairModel::params(self)
     }
+    fn params_mut(&mut self) -> &mut ParamStore {
+        PairModel::params_mut(self)
+    }
     fn record_scores(&self, t: &mut Tape, ex: Example<'_>) -> Var {
         self.record_pair_scores(t, ex.expect_pair())
     }
@@ -298,6 +317,9 @@ impl ErModel for GnnCollective {
     }
     fn params(&self) -> &ParamStore {
         CollectiveErModel::params(self)
+    }
+    fn params_mut(&mut self) -> &mut ParamStore {
+        CollectiveErModel::params_mut(self)
     }
     fn record_scores(&self, t: &mut Tape, ex: Example<'_>) -> Var {
         self.record_example_scores(t, ex.expect_collective())

@@ -11,7 +11,9 @@
 //! Scores are bitwise identical to the model's eager `predict` path — same
 //! kernels, same evaluation order on the surviving nodes — so a session is
 //! a drop-in, faster scorer. [`Session::set_optimize`] restores the
-//! as-recorded replay.
+//! as-recorded replay. [`Session::quantise`] snaps the weights onto the
+//! int8/f16 grids the interval audit proves, in place; scoring then runs
+//! through the same executors.
 //!
 //! [`Session::score_batch`] fans examples out over the `parallel` pool
 //! (`HIERGAT_THREADS` governs the width). Each worker slot keeps its own
@@ -22,7 +24,7 @@
 use crate::model::{ErModel, Example};
 use hiergat_nn::{
     optimize_with_cache, ArenaExecutor, OptimizeConfig, OptimizerCache, QuantConfig, QuantError,
-    QuantExecutor, QuantPlan, QuantStore, QuantStoreReport, Tape,
+    QuantStore, QuantStoreReport, Tape,
 };
 use std::sync::Mutex;
 
@@ -34,31 +36,19 @@ pub struct Session {
     cache: OptimizerCache,
     workers: Vec<(ArenaExecutor, OptimizerCache)>,
     optimize: bool,
-    quant: Option<QuantState>,
-}
-
-/// Quantised-session state: the immutable audit-driven weight store plus
-/// per-thread executors (the serial one and one per batch-worker slot),
-/// mirroring the f32 worker layout.
-struct QuantState {
-    store: QuantStore,
-    exec: QuantExecutor,
-    workers: Vec<QuantExecutor>,
+    quantised: bool,
 }
 
 /// What [`Session::quantise`] did: weight-byte accounting from the
-/// rejecting quantiser plus the arena footprint of the quantised plan for
-/// the priming example's graph shape, next to the f32 plan it replaces.
+/// rejecting quantiser plus the inference arena of the priming example's
+/// graph.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantReport {
     /// Per-parameter class counts and byte totals.
     pub weights: QuantStoreReport,
-    /// Class-arena bytes of the quantised inference plan.
+    /// Arena bytes of the f32 inference plan for the priming example's
+    /// as-recorded graph.
     pub arena_bytes: u64,
-    /// Arena bytes of the f32 inference plan for the same graph shape.
-    pub f32_arena_bytes: u64,
-    /// Live activation nodes stored `(int8, f16, f32)`.
-    pub class_nodes: (usize, usize, usize),
 }
 
 /// Records `ex`'s scoring graph on an inference tape, optionally runs the
@@ -92,26 +82,6 @@ fn score_one(
     (0..n).map(|i| buf[i * 2 + 1]).collect()
 }
 
-/// The quantised twin of [`score_one`]: replays the as-recorded inference
-/// tape through the class-arena executor. The certified tape optimiser is
-/// deliberately skipped — its certificates prove f32 bitwise semantics,
-/// which lossy stores void — so the quantised path behaves identically
-/// whatever [`Session::set_optimize`] says.
-fn score_one_quant(
-    model: &dyn ErModel,
-    exec: &mut QuantExecutor,
-    qstore: &QuantStore,
-    ex: Example<'_>,
-) -> Vec<f32> {
-    let n = ex.n_outputs();
-    let mut t = Tape::inference();
-    let probs = model.record_scores(&mut t, ex);
-    let mut buf = vec![0.0f32; n * 2];
-    exec.infer_into(&t, probs, model.params(), qstore, &mut buf)
-        .expect("quantised inference on an audited model");
-    (0..n).map(|i| buf[i * 2 + 1]).collect()
-}
-
 impl Session {
     /// Wraps a model, adopting its persisted decision threshold. The
     /// certified tape optimiser is on by default; see [`Self::set_optimize`].
@@ -124,18 +94,23 @@ impl Session {
             cache: OptimizerCache::default(),
             workers: Vec::new(),
             optimize: true,
-            quant: None,
+            quantised: false,
         }
     }
 
     /// Quantises the session's weights post-training, driven by the absint
     /// feasibility table: the audit proves a value interval per tensor of
-    /// `ex`'s scoring graph, every parameter it classifies int8/f16 is
-    /// re-encoded through the rejecting quantiser, and subsequent scoring
-    /// replays tapes through the class-arena executor (dequant-free int8
-    /// matmul where both operands are int8). Fails — leaving the session
-    /// un-quantised — if the audit finds numerical-safety issues or any
-    /// weight escapes its proven interval.
+    /// `ex`'s scoring graph, and every parameter it classifies int8/f16 is
+    /// encoded through the rejecting quantiser. Only when every check has
+    /// passed are those parameters written back in place as
+    /// `decode(encode(w))`; on failure the session is left un-quantised.
+    ///
+    /// From then on the session is an ordinary f32 session whose weights
+    /// sit on the audited grids: scores are bitwise-equal to the model's
+    /// eager `predict` over the snapped weights. Quantising also turns the
+    /// tape optimiser off, for footprint: the optimiser's cache entry for a
+    /// graph geometry is about twice the size of its as-recorded plan.
+    /// [`Self::set_optimize`] turns it back on without changing a bit.
     pub fn quantise(
         &mut self,
         ex: Example<'_>,
@@ -144,29 +119,18 @@ impl Session {
         let mut t = Tape::inference();
         let probs = self.model.record_scores(&mut t, ex);
         let (store, _audit) = QuantStore::build(&t, probs, self.model.params(), cfg)?;
-        // Prime the plan for this graph shape so the report carries real
-        // arena numbers (and the first score call replays instantly).
-        let mut exec = QuantExecutor::new();
-        let plan: &QuantPlan = exec.plan_for(&t, probs, self.model.params(), &store)?;
-        let report = QuantReport {
-            weights: store.report(),
-            arena_bytes: plan.arena_bytes(),
-            f32_arena_bytes: plan.f32_arena_bytes(),
-            class_nodes: plan.class_nodes(),
-        };
-        self.quant = Some(QuantState { store, exec, workers: Vec::new() });
-        Ok(report)
+        store.snap(self.model.params_mut());
+        self.optimize = false;
+        self.quantised = true;
+        // Plans the priming graph on the serial executor, so the first
+        // score of this geometry replays at once.
+        let arena_bytes = self.exec.infer_report(&t, probs).arena_bytes;
+        Ok(QuantReport { weights: store.report(), arena_bytes })
     }
 
-    /// Whether scoring goes through the quantised executor.
+    /// Whether [`Self::quantise`] has snapped the weights.
     pub fn is_quantised(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// Capacity of the quantised serial scoring arenas, in bytes (`None`
-    /// until [`Self::quantise`] succeeds).
-    pub fn quantised_arena_bytes(&self) -> Option<u64> {
-        self.quant.as_ref().map(|q| q.exec.arena_capacity_bytes())
+        self.quantised
     }
 
     /// The wrapped model.
@@ -191,9 +155,9 @@ impl Session {
 
     /// Toggles the certified tape optimiser for this session. Optimised and
     /// as-recorded graphs carry distinct plan-cache signatures, so flipping
-    /// this mid-session never replays a stale plan. A quantised session
-    /// ignores this flag: the optimiser's certificates prove f32 bitwise
-    /// semantics, so the quantised path always replays the as-recorded tape.
+    /// this mid-session never replays a stale plan, and every default
+    /// rewrite is bitwise-exact, so it never changes a score.
+    /// [`Self::quantise`] turns it off.
     pub fn set_optimize(&mut self, optimize: bool) {
         self.optimize = optimize;
     }
@@ -205,13 +169,9 @@ impl Session {
     }
 
     /// Scores one example: match probability per output. Bitwise identical
-    /// to the model's eager `predict` until [`Self::quantise`], after which
-    /// scores come from the quantised executor (within the acceptance
-    /// harness's F1 delta of f32, not bitwise).
+    /// to the model's eager `predict` (over the snapped weights, after
+    /// [`Self::quantise`]).
     pub fn score(&mut self, ex: Example<'_>) -> Vec<f32> {
-        if let Some(q) = self.quant.as_mut() {
-            return score_one_quant(&*self.model, &mut q.exec, &q.store, ex);
-        }
         score_one(&*self.model, &mut self.exec, &mut self.cache, ex, self.optimize)
     }
 
@@ -236,39 +196,6 @@ impl Session {
     /// width (each example's graph is scored in isolation).
     pub fn score_batch(&mut self, examples: &[Example<'_>]) -> Vec<Vec<f32>> {
         let workers = parallel::current_split().max(1);
-        if let Some(q) = self.quant.as_mut() {
-            let model = &*self.model;
-            let qstore = &q.store;
-            if workers == 1 || examples.len() < 2 * workers {
-                let exec = &mut q.exec;
-                return examples
-                    .iter()
-                    .map(|ex| score_one_quant(model, exec, qstore, *ex))
-                    .collect();
-            }
-            while q.workers.len() < workers {
-                q.workers.push(QuantExecutor::new());
-            }
-            let mut out: Vec<Vec<f32>> = vec![Vec::new(); examples.len()];
-            let chunk = examples.len().div_ceil(workers);
-            type QJob<'j, 'e> =
-                Mutex<(&'j mut QuantExecutor, &'j mut [Vec<f32>], &'j [Example<'e>])>;
-            let jobs: Vec<QJob<'_, '_>> = q
-                .workers
-                .iter_mut()
-                .zip(out.chunks_mut(chunk))
-                .zip(examples.chunks(chunk))
-                .map(|((worker, slots), exs)| Mutex::new((worker, slots, exs)))
-                .collect();
-            parallel::run(jobs.len(), |i| {
-                let mut job = jobs[i].lock().expect("quantised session job lock");
-                let (exec, slots, exs) = &mut *job;
-                for (slot, ex) in slots.iter_mut().zip(exs.iter()) {
-                    *slot = score_one_quant(model, exec, qstore, *ex);
-                }
-            });
-            return out;
-        }
         // Small batches (or a 1-wide pool) run serially on the session's
         // own executor, keeping its plan cache warm.
         if workers == 1 || examples.len() < 2 * workers {
@@ -410,25 +337,19 @@ mod tests {
             .quantise(Example::Pair(&pairs[0]), &QuantConfig::default())
             .expect("audit-clean model must quantise");
         assert!(session.is_quantised());
-        assert!(
-            report.arena_bytes < report.f32_arena_bytes,
-            "quantised arena {} must undercut f32 arena {}",
-            report.arena_bytes,
-            report.f32_arena_bytes
-        );
+        assert!(!session.optimizes(), "quantised sessions replay as recorded");
+        assert!(report.arena_bytes > 0);
         assert!(
             report.weights.bytes_quantised < report.weights.bytes_f32,
             "weight bytes must shrink: {report:?}"
         );
         assert!(report.weights.int8_params + report.weights.f16_params > 0, "{report:?}");
         let q_scores = session.score_pairs(pairs);
-        for (q, f) in q_scores.iter().zip(&f32_scores) {
+        for ((q, f), pair) in q_scores.iter().zip(&f32_scores).zip(pairs) {
             assert!((q - f).abs() < 0.05, "quantised score {q} drifted from f32 score {f}");
-        }
-        // Serial and batch replay agree on the quantised path too.
-        for (pair, batch) in pairs.iter().zip(&q_scores) {
-            let serial = session.score(Example::Pair(pair));
-            assert_eq!(serial[0].to_bits(), batch.to_bits());
+            // Eager prediction over the snapped weights is the reference.
+            let eager = session.model().predict(Example::Pair(pair))[0];
+            assert_eq!(q.to_bits(), eager.to_bits());
         }
     }
 

@@ -1,8 +1,8 @@
-//! Integer and half-precision storage kernels for quantised inference.
+//! Integer and half-precision storage codecs for quantised inference.
 //!
 //! The absint audit (`hiergat-nn`) proves per-tensor value intervals and
 //! classifies each tensor `int8` / `f16` / `f32`; this module supplies the
-//! storage codecs and the dequant-free integer GEMM those classes need:
+//! storage codecs those classes need:
 //!
 //! * **u8 affine codec** — `v ≈ scale * (q - zero_point)` with `q` in
 //!   `[0, 255]`. Encoding rounds to nearest; the audit-proven interval
@@ -12,32 +12,13 @@
 //! * **IEEE 754 binary16 codec** — round-to-nearest-even encode, exact
 //!   decode (every f16 value is exactly representable in f32). Storage is
 //!   raw `u16` bit patterns; arithmetic always happens in f32.
-//! * **`matmul_u8_into`** — C = dequant(A) · dequant(B) computed without
-//!   dequantising: exact `i32` dot products over the raw `u8` operands,
-//!   zero points folded out afterwards via the row/column-sum identity
-//!   `Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb`, one final scale
-//!   multiply per output element. Integer accumulation is exact, so the
-//!   result is bitwise identical at every thread width and independent of
-//!   loop order — the determinism the f32 microkernel buys with fixed
-//!   tile geometry comes for free here.
 //!
-//! The GEMM streams B row-by-row (unit stride) into a resident `i32`
-//! accumulator row — the same panel-streaming principle as the f32
-//! microkernel's packed B panels, minus the packing copy, because a
-//! row-major `u8` operand is already a contiguous panel. Scratch lives in
-//! thread-local buffers (the convention `microkernel` established):
-//! steady-state calls allocate nothing and scratch is not part of any
-//! arena budget.
-
-use std::cell::RefCell;
+//! The codecs run once per quantised session, when the weights are
+//! snapped onto their grids, so they are plain scalar loops.
 
 /// Largest finite f16 value; anything of greater magnitude cannot be
 /// stored as binary16 without overflowing to infinity.
 pub const F16_MAX: f32 = 65504.0;
-
-/// Deepest contraction `matmul_u8_into` accepts: `k * 255 * 255` must fit
-/// an `i32` dot product (33 000 * 65 025 < 2^31).
-pub const MAX_U8_GEMM_DEPTH: usize = 33_000;
 
 /// Encodes one value into the u8 affine grid (round to nearest, ties away
 /// from zero via `f32::round`). Out-of-grid inputs saturate; callers that
@@ -138,30 +119,9 @@ pub fn f16_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Decode table for all 2^16 binary16 bit patterns (256 KiB, built once
-/// per process from [`f16_to_f32`]). A table lookup beats the branchy
-/// arithmetic decode in the quantised executor's hot loops, and it is
-/// bitwise identical by construction.
-fn f16_lut() -> &'static [f32; 65536] {
-    static LUT: std::sync::LazyLock<Box<[f32; 65536]>> = std::sync::LazyLock::new(|| {
-        let mut t = vec![0f32; 65536];
-        for (h, slot) in t.iter_mut().enumerate() {
-            *slot = f16_to_f32(h as u16);
-        }
-        t.into_boxed_slice().try_into().expect("65536-entry f16 decode table")
-    });
-    &LUT
-}
-
 /// Encodes a slice to binary16 bits (round-to-nearest-even per element).
 pub fn f16_encode_slice(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "f16_encode_slice: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if f16c_active() {
-        // SAFETY: `f16c_active` verified F16C+AVX support at runtime.
-        unsafe { f16_encode_u16_f16c(src, dst) };
-        return;
-    }
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = f16_from_f32(s);
     }
@@ -170,247 +130,9 @@ pub fn f16_encode_slice(src: &[f32], dst: &mut [u16]) {
 /// Decodes a binary16 slice to f32.
 pub fn f16_decode_slice(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "f16_decode_slice: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if f16c_active() {
-        // SAFETY: `f16c_active` verified F16C+AVX support at runtime.
-        unsafe { f16_decode_u16_f16c(src, dst) };
-        return;
-    }
-    let lut = f16_lut();
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d = lut[usize::from(s)];
+        *d = f16_to_f32(s);
     }
-}
-
-/// Encodes a slice to binary16 stored as little-endian bytes
-/// (`dst.len() == 2 * src.len()`): the storage layout the byte-granular
-/// quantised arena uses, so no slot needs alignment.
-pub fn f16_encode_slice_le(src: &[f32], dst: &mut [u8]) {
-    assert_eq!(2 * src.len(), dst.len(), "f16_encode_slice_le: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if f16c_active() {
-        // SAFETY: `f16c_active` verified F16C+AVX support at runtime;
-        // byte destinations take the unaligned store path.
-        unsafe { f16_encode_le_f16c(src, dst) };
-        return;
-    }
-    for (&s, ch) in src.iter().zip(dst.chunks_exact_mut(2)) {
-        ch.copy_from_slice(&f16_from_f32(s).to_le_bytes());
-    }
-}
-
-/// Decodes little-endian binary16 bytes to f32
-/// (`src.len() == 2 * dst.len()`).
-pub fn f16_decode_slice_le(src: &[u8], dst: &mut [f32]) {
-    assert_eq!(src.len(), 2 * dst.len(), "f16_decode_slice_le: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if f16c_active() {
-        // SAFETY: `f16c_active` verified F16C+AVX support at runtime;
-        // byte sources take the unaligned load path.
-        unsafe { f16_decode_le_f16c(src, dst) };
-        return;
-    }
-    let lut = f16_lut();
-    for (d, ch) in dst.iter_mut().zip(src.chunks_exact(2)) {
-        *d = lut[usize::from(u16::from_le_bytes([ch[0], ch[1]]))];
-    }
-}
-
-/// Encodes an f32 slice as little-endian bytes
-/// (`dst.len() == 4 * src.len()`).
-pub fn f32_encode_slice_le(src: &[f32], dst: &mut [u8]) {
-    assert_eq!(4 * src.len(), dst.len(), "f32_encode_slice_le: length mismatch");
-    for (&s, ch) in src.iter().zip(dst.chunks_exact_mut(4)) {
-        ch.copy_from_slice(&s.to_le_bytes());
-    }
-}
-
-/// Decodes little-endian f32 bytes (`src.len() == 4 * dst.len()`).
-pub fn f32_decode_slice_le(src: &[u8], dst: &mut [f32]) {
-    assert_eq!(src.len(), 4 * dst.len(), "f32_decode_slice_le: length mismatch");
-    for (d, ch) in dst.iter_mut().zip(src.chunks_exact(4)) {
-        *d = f32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
-    }
-}
-
-/// `true` when the F16C conversion path is compiled in **and** the CPU
-/// supports it (checked once per process). Hardware `vcvtps2ph` rounds
-/// to nearest even exactly like [`f16_from_f32`], and `vcvtph2ps` is
-/// exact like [`f16_to_f32`], so the two paths are bitwise identical on
-/// every finite value (NaN payloads may differ; the rejecting quantiser
-/// never encodes a NaN).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn f16c_active() -> bool {
-    static F16C: std::sync::LazyLock<bool> = std::sync::LazyLock::new(|| {
-        std::arch::is_x86_feature_detected!("f16c") && std::arch::is_x86_feature_detected!("avx")
-    });
-    *F16C
-}
-
-/// Eight-lane F16C encode into `u16` destinations; scalar RNE tail.
-///
-/// # Safety
-/// Callers must have verified F16C+AVX support (see [`f16c_active`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "f16c,avx")]
-unsafe fn f16_encode_u16_f16c(src: &[f32], dst: &mut [u16]) {
-    use std::arch::x86_64::{__m128i, _mm256_cvtps_ph, _mm256_loadu_ps, _mm_storeu_si128};
-    let n = src.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(src.as_ptr().add(i));
-        let h = _mm256_cvtps_ph::<0x00>(v); // round to nearest even
-        _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), h);
-        i += 8;
-    }
-    for j in i..n {
-        dst[j] = f16_from_f32(src[j]);
-    }
-}
-
-/// Eight-lane F16C decode from `u16` sources; scalar tail.
-///
-/// # Safety
-/// Callers must have verified F16C+AVX support (see [`f16c_active`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "f16c,avx")]
-unsafe fn f16_decode_u16_f16c(src: &[u16], dst: &mut [f32]) {
-    use std::arch::x86_64::{__m128i, _mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
-    let n = dst.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let h = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_cvtph_ps(h));
-        i += 8;
-    }
-    for j in i..n {
-        dst[j] = f16_to_f32(src[j]);
-    }
-}
-
-/// Eight-lane F16C encode into little-endian byte destinations.
-///
-/// # Safety
-/// Callers must have verified F16C+AVX support (see [`f16c_active`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "f16c,avx")]
-unsafe fn f16_encode_le_f16c(src: &[f32], dst: &mut [u8]) {
-    use std::arch::x86_64::{__m128i, _mm256_cvtps_ph, _mm256_loadu_ps, _mm_storeu_si128};
-    let n = src.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(src.as_ptr().add(i));
-        let h = _mm256_cvtps_ph::<0x00>(v); // round to nearest even
-        _mm_storeu_si128(dst.as_mut_ptr().add(2 * i).cast::<__m128i>(), h);
-        i += 8;
-    }
-    for j in i..n {
-        dst[2 * j..2 * j + 2].copy_from_slice(&f16_from_f32(src[j]).to_le_bytes());
-    }
-}
-
-/// Eight-lane F16C decode from little-endian byte sources.
-///
-/// # Safety
-/// Callers must have verified F16C+AVX support (see [`f16c_active`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "f16c,avx")]
-unsafe fn f16_decode_le_f16c(src: &[u8], dst: &mut [f32]) {
-    use std::arch::x86_64::{__m128i, _mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
-    let n = dst.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let h = _mm_loadu_si128(src.as_ptr().add(2 * i).cast::<__m128i>());
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_cvtph_ps(h));
-        i += 8;
-    }
-    let lut = f16_lut();
-    for j in i..n {
-        dst[j] = lut[usize::from(u16::from_le_bytes([src[2 * j], src[2 * j + 1]]))];
-    }
-}
-
-/// Transposes a row-major `rows x cols` u8 matrix into `dst`
-/// (`cols x rows`), so the NT/TN matmul variants can feed the NN GEMM.
-pub fn transpose_u8_into(src: &[u8], dst: &mut [u8], rows: usize, cols: usize) {
-    assert_eq!(src.len(), rows * cols, "transpose_u8_into: src shape mismatch");
-    assert_eq!(dst.len(), rows * cols, "transpose_u8_into: dst shape mismatch");
-    for i in 0..rows {
-        for j in 0..cols {
-            dst[j * rows + i] = src[i * cols + j];
-        }
-    }
-}
-
-thread_local! {
-    /// Resident i32 accumulator row (one output row of dot products).
-    static ACC_I32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-    /// Column sums of the B operand for the zero-point correction.
-    static COLSUM: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Dequant-free integer GEMM: writes `out = scale * (A - za)·(B - zb)`
-/// where `A` is `r x k` and `B` is `k x c`, both row-major u8 affine
-/// codes, and `scale` is the product of the two operands' affine scales.
-///
-/// Dot products accumulate exactly in `i32` over the raw codes; the zero
-/// points are folded out once per element via precomputed row/column sums
-/// (`i64` arithmetic, so the correction cannot overflow). The only
-/// roundings are the final `i64 -> f32` conversion and the scale
-/// multiply, both order-independent — results are bitwise identical at
-/// every thread width by construction.
-///
-/// Panics if `k` exceeds [`MAX_U8_GEMM_DEPTH`] (the exact-i32 bound).
-pub fn matmul_u8_into(
-    a: &[u8],
-    za: u8,
-    b: &[u8],
-    zb: u8,
-    scale: f32,
-    out: &mut [f32],
-    r: usize,
-    k: usize,
-    c: usize,
-) {
-    assert_eq!(a.len(), r * k, "matmul_u8_into: A is not r x k");
-    assert_eq!(b.len(), k * c, "matmul_u8_into: B is not k x c");
-    assert_eq!(out.len(), r * c, "matmul_u8_into: out is not r x c");
-    assert!(k <= MAX_U8_GEMM_DEPTH, "matmul_u8_into: depth {k} overflows exact i32 accumulation");
-    let za_i = i64::from(za);
-    let zb_i = i64::from(zb);
-    let kzz = k as i64 * za_i * zb_i;
-    COLSUM.with(|colsum| {
-        ACC_I32.with(|acc| {
-            let mut colsum = colsum.borrow_mut();
-            let mut acc = acc.borrow_mut();
-            colsum.clear();
-            colsum.resize(c, 0);
-            for row in b.chunks_exact(c.max(1)).take(if c == 0 { 0 } else { k }) {
-                for (s, &v) in colsum.iter_mut().zip(row) {
-                    *s += i32::from(v);
-                }
-            }
-            acc.resize(c, 0);
-            for i in 0..r {
-                let arow = &a[i * k..(i + 1) * k];
-                let rowsum: i64 = arow.iter().map(|&v| i64::from(v)).sum();
-                acc.fill(0);
-                for (l, &av) in arow.iter().enumerate() {
-                    let av = i32::from(av);
-                    let brow = &b[l * c..(l + 1) * c];
-                    for (dst, &bv) in acc.iter_mut().zip(brow) {
-                        *dst += av * i32::from(bv);
-                    }
-                }
-                for ((o, &dot), &cs) in
-                    out[i * c..(i + 1) * c].iter_mut().zip(acc.iter()).zip(colsum.iter())
-                {
-                    let exact = i64::from(dot) - zb_i * rowsum - za_i * i64::from(cs) + kzz;
-                    *o = scale * exact as f32;
-                }
-            }
-        });
-    });
 }
 
 #[cfg(test)]
@@ -495,43 +217,19 @@ mod tests {
 
     #[test]
     fn f16_slice_codecs_match_scalar_on_finite_values() {
-        // Whatever path the slice codecs take (scalar LUT or hardware
-        // F16C), they must agree bitwise with the scalar reference on
-        // finite values — the determinism contract of the quantised
-        // executor. Ragged length exercises the SIMD tail.
         let vals: Vec<f32> = (0..533)
             .map(|i| (i as f32 - 266.0) * 0.37 + 1.0 / (i as f32 + 1.0))
             .chain([0.0, -0.0, 65504.0, -65504.0, 6.1e-5, -6.1e-5, 5.9e-8])
             .collect();
         let mut bits = vec![0u16; vals.len()];
         f16_encode_slice(&vals, &mut bits);
-        let mut le = vec![0u8; 2 * vals.len()];
-        f16_encode_slice_le(&vals, &mut le);
-        for (i, &v) in vals.iter().enumerate() {
-            let want = f16_from_f32(v);
-            assert_eq!(bits[i], want, "u16 encode of {v}");
-            assert_eq!(u16::from_le_bytes([le[2 * i], le[2 * i + 1]]), want, "le encode of {v}");
+        for (&h, &v) in bits.iter().zip(&vals) {
+            assert_eq!(h, f16_from_f32(v), "encode of {v}");
         }
         let mut back = vec![0f32; vals.len()];
         f16_decode_slice(&bits, &mut back);
-        let mut back_le = vec![0f32; vals.len()];
-        f16_decode_slice_le(&le, &mut back_le);
-        for (i, &h) in bits.iter().enumerate() {
-            let want = f16_to_f32(h).to_bits();
-            assert_eq!(back[i].to_bits(), want, "u16 decode of {h:#06x}");
-            assert_eq!(back_le[i].to_bits(), want, "le decode of {h:#06x}");
-        }
-    }
-
-    #[test]
-    fn f32_le_codecs_roundtrip_bitwise() {
-        let vals: Vec<f32> = (0..97).map(|i| (i as f32) * -0.123 + 4.5e-3).collect();
-        let mut bytes = vec![0u8; 4 * vals.len()];
-        f32_encode_slice_le(&vals, &mut bytes);
-        let mut back = vec![0f32; vals.len()];
-        f32_decode_slice_le(&bytes, &mut back);
-        for (v, b) in vals.iter().zip(&back) {
-            assert_eq!(v.to_bits(), b.to_bits());
+        for (&b, &h) in back.iter().zip(&bits) {
+            assert_eq!(b.to_bits(), f16_to_f32(h).to_bits(), "decode of {h:#06x}");
         }
     }
 
@@ -562,81 +260,5 @@ mod tests {
             assert_eq!(q[i], u8_encode(v, 0.02, 50));
             assert_eq!(b.to_bits(), u8_decode(q[i], 0.02, 50).to_bits());
         }
-    }
-
-    /// Naive i64 reference of the zero-point-corrected integer GEMM.
-    fn matmul_u8_reference(
-        a: &[u8],
-        za: u8,
-        b: &[u8],
-        zb: u8,
-        scale: f32,
-        r: usize,
-        k: usize,
-        c: usize,
-    ) -> Vec<f32> {
-        let mut out = vec![0f32; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                let mut acc = 0i64;
-                for l in 0..k {
-                    acc += (i64::from(a[i * k + l]) - i64::from(za))
-                        * (i64::from(b[l * c + j]) - i64::from(zb));
-                }
-                out[i * c + j] = scale * acc as f32;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn u8_gemm_matches_exact_reference() {
-        // Deterministic pseudo-random operands (LCG; no RNG dependency).
-        let mut state = 0x1234_5678u32;
-        let mut next = move || {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            (state >> 24) as u8
-        };
-        for &(r, k, c) in &[(1, 1, 1), (3, 5, 4), (7, 16, 9), (13, 33, 21)] {
-            let a: Vec<u8> = (0..r * k).map(|_| next()).collect();
-            let b: Vec<u8> = (0..k * c).map(|_| next()).collect();
-            let (za, zb, scale) = (17u8, 200u8, 3.5e-4f32);
-            let mut out = vec![0f32; r * c];
-            matmul_u8_into(&a, za, &b, zb, scale, &mut out, r, k, c);
-            let want = matmul_u8_reference(&a, za, &b, zb, scale, r, k, c);
-            for (i, (&g, &w)) in out.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "element {i} of {r}x{k}x{c}");
-            }
-        }
-    }
-
-    #[test]
-    fn u8_gemm_approximates_f32_matmul_of_decoded_operands() {
-        let (r, k, c) = (4, 8, 5);
-        let (sa, za) = (0.02f32, 128u8);
-        let (sb, zb) = (0.01f32, 64u8);
-        let aq: Vec<u8> = (0..r * k).map(|i| (i * 7 % 256) as u8).collect();
-        let bq: Vec<u8> = (0..k * c).map(|i| (i * 13 % 256) as u8).collect();
-        let mut out = vec![0f32; r * c];
-        matmul_u8_into(&aq, za, &bq, zb, sa * sb, &mut out, r, k, c);
-        let af: Vec<f32> = aq.iter().map(|&q| u8_decode(q, sa, za)).collect();
-        let bf: Vec<f32> = bq.iter().map(|&q| u8_decode(q, sb, zb)).collect();
-        let mut want = vec![0f32; r * c];
-        crate::matmul_into(&af, &bf, &mut want, r, k, c);
-        for (g, w) in out.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-4 * w.abs().max(1.0), "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn u8_transpose_roundtrips() {
-        let src: Vec<u8> = (0..12).collect();
-        let mut t = vec![0u8; 12];
-        transpose_u8_into(&src, &mut t, 3, 4);
-        let mut back = vec![0u8; 12];
-        transpose_u8_into(&t, &mut back, 4, 3);
-        assert_eq!(src, back);
-        assert_eq!(t[0], src[0]);
-        assert_eq!(t[1], src[4]);
     }
 }

@@ -36,23 +36,20 @@ print(f"kernels floor check: simd={d['simd']} all_bitwise_equal={d['all_bitwise_
 assert d["simd"], "kernels bench did not run with the simd feature"
 assert d["all_bitwise_equal"], "pooled kernels diverged from serial"
 assert micro >= 4.0, f"microkernel floor not met: {micro:.2f}x < 4x"
-# Quantised-session floor. A decode-compute-encode interpreter cannot
-# match the f32 plan's direct-arena replay on throughput (DESIGN.md
-# section 17) -- the quantisation win is storage -- so the gates are:
-# both storage footprints strictly shrink, score drift stays small, and
-# throughput holds a conservative fraction of the optimised f32 session
-# (measured ~0.6x; the floor leaves margin for machine noise).
+# Quantised-session floor. A quantised session replays the f32 executor
+# over weights snapped onto the audited grids, as recorded (DESIGN.md
+# section 17), so the gates are: the weight bytes the grids need shrink,
+# score drift stays small, and throughput holds most of the optimised f32
+# session's (the as-recorded replay skips the optimiser's rewrites).
 q = d["quantised"]
 print(f"quantised floor check: {q['quantised_pairs_per_s']:.0f} pairs/s "
       f"({q['speedup_vs_f32_session']:.2f}x f32 session), weights "
       f"{q['weight_bytes_f32']} -> {q['weight_bytes_quantised']} B, arena "
-      f"{q['arena_bytes_f32']} -> {q['arena_bytes_quantised']} B, "
-      f"max drift {q['max_score_drift']:.4f}")
-assert q["arena_bytes_quantised"] < q["arena_bytes_f32"], "quantised arena did not shrink"
+      f"{q['arena_bytes_quantised']} B, max drift {q['max_score_drift']:.4f}")
 assert q["weight_bytes_quantised"] < q["weight_bytes_f32"], "quantised weights did not shrink"
 assert q["max_score_drift"] <= 0.05, f"quantised drift too large: {q['max_score_drift']}"
-assert q["speedup_vs_f32_session"] >= 0.35, (
-    f"quantised throughput floor not met: {q['speedup_vs_f32_session']:.2f}x < 0.35x f32 session")
+assert q["speedup_vs_f32_session"] >= 0.8, (
+    f"quantised throughput floor not met: {q['speedup_vs_f32_session']:.2f}x < 0.8x f32 session")
 EOF
 echo "### done kernels" >> bench_output.txt
 # Corpus-scale streaming resolve floors: the full blocking → cascade →
