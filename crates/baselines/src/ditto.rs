@@ -9,7 +9,7 @@
 use crate::traits::PairModel;
 use hiergat_data::EntityPair;
 use hiergat_lm::{LmTier, MiniLm};
-use hiergat_nn::{Adam, ArenaExecutor, ExecutionPlan, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
 use hiergat_text::tokenize;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,14 +25,11 @@ pub struct DittoConfig {
     pub lr: f32,
     /// Seed.
     pub seed: u64,
-    /// Run training steps through the arena planner (zero steady-state
-    /// allocations, bitwise-identical arithmetic).
-    pub use_arena: bool,
 }
 
 impl Default for DittoConfig {
     fn default() -> Self {
-        Self { lm_tier: LmTier::MiniBase, epochs: 10, lr: 6e-4, seed: 0xd177, use_arena: false }
+        Self { lm_tier: LmTier::MiniBase, epochs: 10, lr: 6e-4, seed: 0xd177 }
     }
 }
 
@@ -46,7 +43,6 @@ pub struct Ditto {
     head_out: Linear,
     opt: Adam,
     rng: StdRng,
-    exec: ArenaExecutor,
 }
 
 impl Ditto {
@@ -70,7 +66,7 @@ impl Ditto {
         );
         let head_out = Linear::new(&mut ps, "ditto.head_out", lm_cfg.d_model, 2, true, &mut rng);
         let opt = Adam::new(cfg.lr);
-        Self { cfg, ps, lm, head_hidden, head_out, opt, rng, exec: ArenaExecutor::new() }
+        Self { cfg, ps, lm, head_hidden, head_out, opt, rng }
     }
 
     /// Loads pre-trained `lm.*` weights.
@@ -156,16 +152,6 @@ impl Ditto {
         hiergat_nn::analyze_graph(&t, loss, &self.ps)
     }
 
-    /// Arena-planner report for the training graph of `pair` (shape-only
-    /// recording; no kernels run).
-    pub fn plan(&self, pair: &EntityPair) -> hiergat_nn::PlanReport {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x51);
-        let mut t = Tape::deferred();
-        let logits = self.forward_rng(&mut t, pair, true, &mut rng);
-        let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
-        ExecutionPlan::build(&t, loss).report().clone()
-    }
-
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the training
     /// graph (shape-only tape, training mode).
     pub fn lint(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
@@ -193,18 +179,13 @@ impl PairModel for Ditto {
 
     fn train_pair_weighted(&mut self, pair: &EntityPair, weight: f32) -> f32 {
         // Clearing at the start (rather than after the optimizer step) leaves
-        // the step's clipped gradients observable for differential testing.
+        // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
-        let mut t = if self.cfg.use_arena { Tape::deferred() } else { Tape::new() };
+        let mut t = Tape::new();
         let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[weight]);
-        let val = if self.cfg.use_arena {
-            self.exec.step(&t, loss, &mut self.ps)
-        } else {
-            let v = t.value(loss).item();
-            t.backward(loss, &mut self.ps);
-            v
-        };
+        let val = t.value(loss).item();
+        t.backward(loss, &mut self.ps);
         self.ps.clip_grad_norm(5.0);
         self.opt.step(&mut self.ps);
         val

@@ -9,7 +9,7 @@
 use crate::traits::PairModel;
 use hiergat_data::EntityPair;
 use hiergat_graph::GraphAttn;
-use hiergat_nn::{Adam, ArenaExecutor, ExecutionPlan, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
 use hiergat_tensor::Tensor;
 use hiergat_text::{tokenize, StaticHashEmbedding};
 use rand::rngs::StdRng;
@@ -28,14 +28,11 @@ pub struct DmPlusConfig {
     pub seed: u64,
     /// Maximum tokens per attribute.
     pub max_tokens: usize,
-    /// Run training steps through the arena planner (zero steady-state
-    /// allocations, bitwise-identical arithmetic).
-    pub use_arena: bool,
 }
 
 impl Default for DmPlusConfig {
     fn default() -> Self {
-        Self { d: 32, epochs: 10, lr: 1e-3, seed: 0xd3b5, max_tokens: 24, use_arena: false }
+        Self { d: 32, epochs: 10, lr: 1e-3, seed: 0xd3b5, max_tokens: 24 }
     }
 }
 
@@ -50,7 +47,6 @@ pub struct DmPlus {
     cls_out: Linear,
     opt: Adam,
     arity: usize,
-    exec: ArenaExecutor,
 }
 
 impl DmPlus {
@@ -65,18 +61,7 @@ impl DmPlus {
         let cls_out = Linear::new(&mut ps, "dmp.cls_out", cfg.d, 2, true, &mut rng);
         let emb = StaticHashEmbedding::new(cfg.d, 4096, 2048, cfg.seed ^ 0x5eed);
         let opt = Adam::new(cfg.lr);
-        Self {
-            cfg,
-            ps,
-            emb,
-            proj,
-            attr_agg,
-            cls_hidden,
-            cls_out,
-            opt,
-            arity,
-            exec: ArenaExecutor::new(),
-        }
+        Self { cfg, ps, emb, proj, attr_agg, cls_hidden, cls_out, opt, arity }
     }
 
     /// Token-level alignment comparison of one attribute pair.
@@ -139,15 +124,6 @@ impl DmPlus {
         hiergat_nn::analyze_graph(&t, loss, &self.ps)
     }
 
-    /// Arena-planner report for the training graph of `pair` (shape-only
-    /// recording; no kernels run).
-    pub fn plan(&self, pair: &EntityPair) -> hiergat_nn::PlanReport {
-        let mut t = Tape::deferred();
-        let logits = self.forward(&mut t, pair);
-        let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
-        ExecutionPlan::build(&t, loss).report().clone()
-    }
-
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the training
     /// graph (shape-only tape, training mode).
     pub fn lint(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
@@ -174,18 +150,13 @@ impl PairModel for DmPlus {
 
     fn train_pair_weighted(&mut self, pair: &EntityPair, weight: f32) -> f32 {
         // Clearing at the start (rather than after the optimizer step) leaves
-        // the step's clipped gradients observable for differential testing.
+        // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
-        let mut t = if self.cfg.use_arena { Tape::deferred() } else { Tape::new() };
+        let mut t = Tape::new();
         let logits = self.forward(&mut t, pair);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[weight]);
-        let val = if self.cfg.use_arena {
-            self.exec.step(&t, loss, &mut self.ps)
-        } else {
-            let v = t.value(loss).item();
-            t.backward(loss, &mut self.ps);
-            v
-        };
+        let val = t.value(loss).item();
+        t.backward(loss, &mut self.ps);
         self.ps.clip_grad_norm(5.0);
         self.opt.step(&mut self.ps);
         val

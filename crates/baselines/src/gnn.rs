@@ -9,7 +9,7 @@
 use crate::traits::CollectiveErModel;
 use hiergat_data::CollectiveExample;
 use hiergat_graph::{GatLayer, GcnLayer, GraphAttn, Hhg};
-use hiergat_nn::{Adam, ArenaExecutor, ExecutionPlan, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
 use hiergat_tensor::Tensor;
 use hiergat_text::HashVocab;
 use rand::rngs::StdRng;
@@ -48,14 +48,11 @@ pub struct GnnConfig {
     pub lr: f32,
     /// Seed.
     pub seed: u64,
-    /// Run training steps through the arena planner (zero steady-state
-    /// allocations, bitwise-identical arithmetic).
-    pub use_arena: bool,
 }
 
 impl Default for GnnConfig {
     fn default() -> Self {
-        Self { d: 32, epochs: 10, lr: 1e-3, seed: 0x6e47, use_arena: false }
+        Self { d: 32, epochs: 10, lr: 1e-3, seed: 0x6e47 }
     }
 }
 
@@ -76,7 +73,6 @@ pub struct GnnCollective {
     cls_hidden: Linear,
     cls_out: Linear,
     opt: Adam,
-    exec: ArenaExecutor,
 }
 
 impl GnnCollective {
@@ -103,18 +99,7 @@ impl GnnCollective {
         let cls_hidden = Linear::new(&mut ps, "gnn.cls_hidden", 3 * cfg.d, cfg.d, true, &mut rng);
         let cls_out = Linear::new(&mut ps, "gnn.cls_out", cfg.d, 2, true, &mut rng);
         let opt = Adam::new(cfg.lr);
-        Self {
-            cfg,
-            kind,
-            ps,
-            vocab,
-            emb,
-            layers,
-            cls_hidden,
-            cls_out,
-            opt,
-            exec: ArenaExecutor::new(),
-        }
+        Self { cfg, kind, ps, vocab, emb, layers, cls_hidden, cls_out, opt }
     }
 
     /// Architecture kind.
@@ -248,17 +233,6 @@ impl GnnCollective {
         report
     }
 
-    /// Arena-planner report for the training graph of `ex` (shape-only
-    /// recording; no kernels run).
-    pub fn plan(&self, ex: &CollectiveExample) -> hiergat_nn::PlanReport {
-        let mut t = Tape::deferred();
-        let logits = self.forward(&mut t, ex);
-        let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
-        let weights = vec![1.0; targets.len()];
-        let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);
-        ExecutionPlan::build(&t, loss).report().clone()
-    }
-
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the training
     /// graph (shape-only tape, training mode).
     pub fn lint(&self, ex: &CollectiveExample) -> hiergat_nn::LintReport {
@@ -287,20 +261,15 @@ impl CollectiveErModel for GnnCollective {
 
     fn train_example_weighted(&mut self, ex: &CollectiveExample, weight: f32) -> f32 {
         // Clearing at the start (rather than after the optimizer step) leaves
-        // the step's clipped gradients observable for differential testing.
+        // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
-        let mut t = if self.cfg.use_arena { Tape::deferred() } else { Tape::new() };
+        let mut t = Tape::new();
         let logits = self.forward(&mut t, ex);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights: Vec<f32> = ex.labels.iter().map(|&l| if l { weight } else { 1.0 }).collect();
         let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);
-        let val = if self.cfg.use_arena {
-            self.exec.step(&t, loss, &mut self.ps)
-        } else {
-            let v = t.value(loss).item();
-            t.backward(loss, &mut self.ps);
-            v
-        };
+        let val = t.value(loss).item();
+        t.backward(loss, &mut self.ps);
         self.ps.clip_grad_norm(5.0);
         self.opt.step(&mut self.ps);
         val

@@ -19,7 +19,7 @@
 
 use hiergat_data::MagellanDataset;
 use hiergat_lm::LmTier;
-use hiergat_nn::{Adam, ArenaExecutor, Optimizer, ParamId, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Optimizer, ParamId, ParamStore, Tape, Var};
 use hiergat_runtime::{BuildContext, Example, ModelRegistry, Session};
 use hiergat_tensor::{alloc_stats, cost, Tensor};
 use rand::rngs::StdRng;
@@ -173,7 +173,7 @@ fn bits_f32(v: &[f32]) -> Vec<u32> {
 }
 
 /// A two-layer classifier training graph (matmul / add_row / tanh / matmul
-/// / cross-entropy) — the steady-state heap-vs-arena workload.
+/// / cross-entropy) — the steady-state eager training-step workload.
 fn record_train_graph(
     t: &mut Tape,
     store: &ParamStore,
@@ -207,7 +207,6 @@ struct TrainModeRow {
     ms_per_step: f64,
     allocs_per_step: f64,
     bytes_per_step: f64,
-    losses: Vec<u32>,
 }
 
 /// Runs `steps` training steps through `step`, timing them and diffing the
@@ -215,7 +214,9 @@ struct TrainModeRow {
 fn run_train_mode(steps: usize, mut step: impl FnMut() -> f32) -> TrainModeRow {
     let before = alloc_stats();
     let t0 = Instant::now();
-    let losses: Vec<u32> = (0..steps).map(|_| step().to_bits()).collect();
+    for _ in 0..steps {
+        std::hint::black_box(step());
+    }
     let elapsed = t0.elapsed().as_secs_f64();
     let d = alloc_stats().since(before);
     let n = steps as f64;
@@ -223,7 +224,6 @@ fn run_train_mode(steps: usize, mut step: impl FnMut() -> f32) -> TrainModeRow {
         ms_per_step: elapsed * 1e3 / n,
         allocs_per_step: d.count as f64 / n,
         bytes_per_step: d.bytes as f64 / n,
-        losses,
     }
 }
 
@@ -344,11 +344,8 @@ fn main() {
         );
     }
 
-    // Steady-state training step, heap vs arena. The heap mode re-records
-    // an eager tape every step (values materialize during recording); the
-    // arena mode replays the cached plan over one deferred tape. Both run
-    // the identical graph from identical seeds, so the loss sequences must
-    // match bitwise, and the arena replay must allocate no tensors at all.
+    // Steady-state eager training step: re-record the tape (values
+    // materialize during recording), backward, clip, Adam.
     const TRAIN_STEPS: usize = 20;
     let x = Tensor::rand_normal(64, 128, 0.0, 1.0, &mut rng);
     let targets: Vec<usize> = (0..64).map(|i| i % 10).collect();
@@ -366,43 +363,15 @@ fn main() {
         v
     };
 
-    let (mut ps_a, ids_a) = train_store(0xa55a);
-    let mut opt_a = Adam::new(1e-3);
-    let mut tape = Tape::deferred();
-    let loss_a = record_train_graph(&mut tape, &ps_a, &ids_a, &x, &targets);
-    let mut exec = ArenaExecutor::new();
-    let arena_planned = exec.plan_report(&tape, loss_a).arena_bytes;
-    let mut arena_step = || {
-        ps_a.zero_grad();
-        let v = exec.step(&tape, loss_a, &mut ps_a);
-        ps_a.clip_grad_norm(5.0);
-        opt_a.step(&mut ps_a);
-        v
-    };
-
-    // Warm-up: plan construction, arena growth, Adam moment state.
-    let (wh, wa) = (heap_step(), arena_step());
-    assert_eq!(wh.to_bits(), wa.to_bits(), "warm-up loss diverged: {wh} vs {wa}");
+    // Warm-up: Adam moment state.
+    let warm = heap_step();
+    assert!(warm.is_finite(), "warm-up loss {warm}");
     let heap = run_train_mode(TRAIN_STEPS, heap_step);
-    let arena = run_train_mode(TRAIN_STEPS, arena_step);
-    let losses_equal = heap.losses == arena.losses;
 
-    println!("training step (two-layer classifier, {TRAIN_STEPS} steps, heap vs arena):");
+    println!("training step (two-layer classifier, {TRAIN_STEPS} steps, eager):");
     println!(
         "  heap  {:>8.3} ms/step  {:>7.1} tensor allocs/step  {:>12.0} bytes/step",
         heap.ms_per_step, heap.allocs_per_step, heap.bytes_per_step,
-    );
-    println!(
-        "  arena {:>8.3} ms/step  {:>7.1} tensor allocs/step  {:>12.0} bytes/step  \
-         (plan: {arena_planned} B)",
-        arena.ms_per_step, arena.allocs_per_step, arena.bytes_per_step,
-    );
-    println!("  losses bitwise {}", if losses_equal { "ok" } else { "MISMATCH" });
-    assert!(losses_equal, "heap and arena loss sequences must match bitwise");
-    assert!(
-        arena.allocs_per_step == 0.0,
-        "arena steady state must allocate no tensors, saw {}/step",
-        arena.allocs_per_step
     );
 
     // Scoring throughput: the eager predict path (fresh eager tape per
@@ -444,7 +413,6 @@ fn main() {
     let scoring_speedup = eager_s / infer_s;
     let optimize_speedup = plain_s / infer_s;
     let first = Example::Pair(pairs[0]);
-    let train_arena = session.model().plan_training(first).arena_bytes;
     let infer_arena = session.model().plan_inference(first).arena_bytes;
 
     println!("pair scoring (HierGAT pairwise, {} pairs, eager vs inference session):", pairs.len());
@@ -454,13 +422,9 @@ fn main() {
         "  session (optimised) {infer_pps:>7.1} pairs/s  speedup {scoring_speedup:>5.2}x eager, \
          {optimize_speedup:.2}x as-recorded"
     );
-    println!("  peak arena: training plan {train_arena} B, inference plan {infer_arena} B");
+    println!("  peak arena: inference plan {infer_arena} B");
     println!("  scores bitwise {}", if scores_bitwise { "ok" } else { "MISMATCH" });
     assert!(scores_bitwise, "session scoring must match eager predictions bitwise");
-    assert!(
-        infer_arena < train_arena,
-        "inference plan ({infer_arena} B) must undercut the training plan ({train_arena} B)"
-    );
     assert!(
         scoring_speedup >= 1.3,
         "inference session must score at least 1.3x faster than eager, got {scoring_speedup:.2}x"
@@ -536,15 +500,8 @@ fn main() {
     let train_json = format!(
         "  \"train_step\": {{\"graph\": \"mlp_64x128x256x10\", \"steps\": {TRAIN_STEPS}, \
          \"heap_ms_per_step\": {:.3}, \"heap_allocs_per_step\": {:.1}, \
-         \"heap_bytes_per_step\": {:.0}, \"arena_ms_per_step\": {:.3}, \
-         \"arena_allocs_per_step\": {:.1}, \"arena_bytes_per_step\": {:.0}, \
-         \"arena_planned_bytes\": {arena_planned}, \"loss_bitwise_equal\": {losses_equal}}},",
-        heap.ms_per_step,
-        heap.allocs_per_step,
-        heap.bytes_per_step,
-        arena.ms_per_step,
-        arena.allocs_per_step,
-        arena.bytes_per_step,
+         \"heap_bytes_per_step\": {:.0}}},",
+        heap.ms_per_step, heap.allocs_per_step, heap.bytes_per_step,
     );
     let scoring_json = format!(
         "  \"scoring\": {{\"model\": \"hiergat-pairwise\", \"pairs\": {}, \
@@ -552,7 +509,6 @@ fn main() {
          \"unoptimized_session_pairs_per_s\": {plain_pps:.1}, \
          \"speedup\": {scoring_speedup:.3}, \"optimize_speedup\": {optimize_speedup:.3}, \
          \"bitwise_equal\": {scores_bitwise}, \
-         \"train_peak_arena_bytes\": {train_arena}, \
          \"infer_peak_arena_bytes\": {infer_arena}}},",
         pairs.len(),
     );

@@ -29,10 +29,9 @@
 //!   race audit, failing (deny-by-default) on any diagnostic at or above
 //!   the gate severity.
 //! * `plan    [--dataset amazon-google] [--scale 0.5]`
-//!   builds the ahead-of-time arena memory plan for each model's training
-//!   graph and the forward-only inference plan its scoring session uses,
-//!   printing both arena budgets (planned arena bytes vs the naive sum of
-//!   buffer sizes vs the liveness lower bound).
+//!   builds the forward-only arena memory plan each model's scoring
+//!   session uses and prints its budget (planned arena bytes vs the naive
+//!   sum of buffer sizes vs the liveness lower bound).
 //! * `audit   [--dataset amazon-google] [--scale 0.5] [--deny warn] [--json]
 //!   [--weights DIR] [--input-bound B] [--param-bound W]`
 //!   runs the interval abstract interpreter over each model's inference
@@ -219,7 +218,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     // validation-tuned threshold; `--threshold` overrides it.
     let mut session = Session::new(Box::new(HierGatPairwise(model)));
     if let Some(threshold) = args.get_parsed("threshold") {
-        session.set_threshold(threshold?);
+        session.set_threshold(unit_bound("--threshold", threshold?)?);
     }
     let threshold = session.threshold();
     let scores = session.score_pairs(&pairs);
@@ -271,6 +270,16 @@ struct ResolveSummary {
 /// cascade (optional HierGAT session for the ambiguous band) → union-find
 /// clustering. Synthetic mode (`--entities N`) also scores the clustering
 /// against the corpus's gold cluster ids.
+/// Checks a score cut-off: scores are probabilities or cosines, so a
+/// bound outside [0, 1] (or NaN) would accept everything or nothing.
+fn unit_bound(flag: &str, v: f32) -> Result<f32, String> {
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be a number in [0, 1], got {v}"))
+    }
+}
+
 fn cmd_resolve(args: &Args) -> Result<(), String> {
     use hiergat_blocking::{EntityStore, TfIdfCandidates, TfIdfSourceConfig};
     use hiergat_data::{CorpusConfig, SynthCorpus};
@@ -279,8 +288,13 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
     use std::time::Instant;
 
     let top: usize = args.get_parsed("top").unwrap_or(Ok(8))?;
-    let min_cosine: f32 = args.get_parsed("min-cosine").unwrap_or(Ok(0.15))?;
-    let accept: f32 = args.get_parsed("accept").unwrap_or(Ok(0.85))?;
+    let min_cosine =
+        unit_bound("--min-cosine", args.get_parsed("min-cosine").unwrap_or(Ok(0.15))?)?;
+    let accept = unit_bound("--accept", args.get_parsed("accept").unwrap_or(Ok(0.85))?)?;
+    let threshold = match args.get_parsed("threshold") {
+        Some(t) => Some(unit_bound("--threshold", t?)?),
+        None => None,
+    };
     let shards: usize = args.get_parsed("shards").unwrap_or(Ok(8))?;
     let max_df: f64 = args.get_parsed("max-df").unwrap_or(Ok(0.01))?;
     let batch: usize = args.get_parsed("batch").unwrap_or(Ok(1024))?;
@@ -292,8 +306,12 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
     let band = match args.get("band") {
         Some(spec) => {
             let (lo, hi) = spec.split_once(':').ok_or("--band expects LO:HI (e.g. 0.5:0.85)")?;
-            let lo: f32 = lo.parse().map_err(|e| format!("--band low bound: {e}"))?;
-            let hi: f32 = hi.parse().map_err(|e| format!("--band high bound: {e}"))?;
+            let lo = lo.parse().map_err(|e| format!("--band low bound: {e}"))?;
+            let hi = hi.parse().map_err(|e| format!("--band high bound: {e}"))?;
+            let (lo, hi) = (unit_bound("--band LO", lo)?, unit_bound("--band HI", hi)?);
+            if lo > hi {
+                return Err(format!("--band LO:HI needs LO <= HI, got {lo}:{hi}"));
+            }
             Some((lo, hi))
         }
         None => None,
@@ -308,8 +326,8 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
     if band.is_some() && session.is_none() {
         return Err("--band routes pairs through a model; pass --model DIR".into());
     }
-    if let (Some(session), Some(t)) = (session.as_mut(), args.get_parsed::<f32>("threshold")) {
-        session.set_threshold(t?);
+    if let (Some(session), Some(t)) = (session.as_mut(), threshold) {
+        session.set_threshold(t);
     }
 
     let (store, gold): (Box<dyn EntityStore>, Option<Vec<u32>>) = match args.get("entities") {
@@ -587,10 +605,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let (ds, ds_c, tier) = registry_inputs(args)?;
     for_each_model(tier, &ds, &ds_c, |spec, model, example| {
-        // Training plan (forward + backward liveness) next to the session's
-        // forward-only inference plan, which needs strictly less arena.
-        println!("{:32} {}", spec.display(), model.plan_training(example));
-        println!("{:32} {}", format!("{} [infer]", spec.display()), model.plan_inference(example));
+        println!("{:32} {}", spec.display(), model.plan_inference(example));
     })?;
     Ok(())
 }
@@ -1105,6 +1120,26 @@ mod tests {
                 .expect("parse");
             let err = cmd_resolve(&args).expect_err("zero must fail, not panic");
             assert!(err.contains("--shards and --chunk must be at least 1"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn resolve_rejects_nonsense_cutoffs() {
+        let cases = [
+            ("--accept", "nan", "--accept must be a number in [0, 1]"),
+            ("--accept", "-3", "--accept must be a number in [0, 1]"),
+            ("--accept", "inf", "--accept must be a number in [0, 1]"),
+            ("--min-cosine", "1.5", "--min-cosine must be a number in [0, 1]"),
+            ("--threshold", "NaN", "--threshold must be a number in [0, 1]"),
+            ("--band", "0.9:0.5", "needs LO <= HI"),
+            ("--band", "nan:0.5", "--band LO must be a number in [0, 1]"),
+            ("--band", "0.2:1.5", "--band HI must be a number in [0, 1]"),
+        ];
+        for (flag, value, want) in cases {
+            let args =
+                Args::parse(&["--entities", "100", flag, value].map(String::from)).expect("parse");
+            let err = cmd_resolve(&args).expect_err("nonsense cut-off must fail");
+            assert!(err.contains(want), "{flag} {value}: {err}");
         }
     }
 

@@ -44,13 +44,6 @@ pub struct HierGatConfig {
     pub dropout: f32,
     /// RNG seed for initialization, shuffling, and dropout.
     pub seed: u64,
-    /// Execute training steps through the ahead-of-time arena planner
-    /// (`hiergat_nn::plan`): the step graph is recorded shape-first, every
-    /// buffer is assigned an offset in one contiguous arena, and
-    /// steady-state steps run with zero tensor allocations. Numerically
-    /// bitwise-identical to the default heap executor.
-    #[serde(default)]
-    pub use_arena: bool,
 }
 
 impl Default for HierGatConfig {
@@ -67,7 +60,6 @@ impl Default for HierGatConfig {
             lr: 8e-4,
             dropout: 0.05,
             seed: 0x48_47,
-            use_arena: false,
         }
     }
 }
@@ -105,12 +97,6 @@ impl HierGatConfig {
     /// Applies an epoch override.
     pub fn with_epochs(mut self, epochs: usize) -> Self {
         self.epochs = epochs;
-        self
-    }
-
-    /// Switches the arena training executor on or off.
-    pub fn with_arena(mut self, on: bool) -> Self {
-        self.use_arena = on;
         self
     }
 }

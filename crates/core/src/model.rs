@@ -8,7 +8,7 @@ use crate::context::ContextModule;
 use hiergat_data::{CollectiveExample, EntityPair};
 use hiergat_graph::Hhg;
 use hiergat_lm::MiniLm;
-use hiergat_nn::{Adam, ArenaExecutor, ExecutionPlan, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,10 +32,6 @@ pub struct HierGat {
     rng: StdRng,
     arity: usize,
     d: usize,
-    /// Arena-backed step executor (used when `cfg.use_arena` is set); keeps
-    /// the planned buffer and plan cache alive across steps so same-shape
-    /// epochs allocate nothing.
-    exec: ArenaExecutor,
     /// Validation-tuned decision threshold (0.5 until tuning sets it);
     /// persisted in checkpoints so a restored session can emit boolean
     /// match decisions.
@@ -104,7 +100,6 @@ impl HierGat {
             rng,
             arity,
             d,
-            exec: ArenaExecutor::new(),
             decision_threshold: 0.5,
         }
     }
@@ -221,18 +216,13 @@ impl HierGat {
     /// `pos_neg_ratio`; the trainer derives the weight from the split).
     pub fn train_pair_weighted(&mut self, pair: &EntityPair, weight: f32) -> f32 {
         // Clearing at the start (rather than after the optimizer step) leaves
-        // the step's clipped gradients observable for differential testing.
+        // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
-        let mut t = if self.cfg.use_arena { Tape::deferred() } else { Tape::new() };
+        let mut t = Tape::new();
         let logits = self.forward_pair(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[weight]);
-        let loss_val = if self.cfg.use_arena {
-            self.exec.step(&t, loss, &mut self.ps)
-        } else {
-            let v = t.value(loss).item();
-            t.backward(loss, &mut self.ps);
-            v
-        };
+        let loss_val = t.value(loss).item();
+        t.backward(loss, &mut self.ps);
         self.ps.clip_grad_norm(5.0);
         self.opt.step(&mut self.ps);
         loss_val
@@ -322,20 +312,15 @@ impl HierGat {
     /// Weighted collective step: positive candidates weighted by `weight`.
     pub fn train_collective_weighted(&mut self, ex: &CollectiveExample, weight: f32) -> f32 {
         // Clearing at the start (rather than after the optimizer step) leaves
-        // the step's clipped gradients observable for differential testing.
+        // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
-        let mut t = if self.cfg.use_arena { Tape::deferred() } else { Tape::new() };
+        let mut t = Tape::new();
         let logits = self.forward_collective(&mut t, ex, true);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights: Vec<f32> = ex.labels.iter().map(|&l| if l { weight } else { 1.0 }).collect();
         let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);
-        let loss_val = if self.cfg.use_arena {
-            self.exec.step(&t, loss, &mut self.ps)
-        } else {
-            let v = t.value(loss).item();
-            t.backward(loss, &mut self.ps);
-            v
-        };
+        let loss_val = t.value(loss).item();
+        t.backward(loss, &mut self.ps);
         self.ps.clip_grad_norm(5.0);
         self.opt.step(&mut self.ps);
         loss_val
@@ -369,29 +354,6 @@ impl HierGat {
         entities.extend(ex.candidates.iter().cloned());
         graph_issues_into(&Hhg::from_entities(&entities), &mut report);
         report
-    }
-
-    /// Arena-planner report for the pairwise training graph: liveness-packed
-    /// arena size for a full forward+backward step versus the no-reuse
-    /// baseline and the theoretical lower bound. Records shapes only — no
-    /// kernels run.
-    pub fn plan_pair(&self, pair: &EntityPair) -> hiergat_nn::PlanReport {
-        let mut t = Tape::deferred();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let logits = self.forward_pair_rng(&mut t, pair, true, &mut rng);
-        let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
-        ExecutionPlan::build(&t, loss).report().clone()
-    }
-
-    /// Collective-mode counterpart of [`Self::plan_pair`].
-    pub fn plan_collective(&self, ex: &CollectiveExample) -> hiergat_nn::PlanReport {
-        let mut t = Tape::deferred();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let logits = self.forward_collective_rng(&mut t, ex, true, &mut rng);
-        let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
-        let weights = vec![1.0; targets.len()];
-        let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);
-        ExecutionPlan::build(&t, loss).report().clone()
     }
 
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the pairwise

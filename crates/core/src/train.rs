@@ -55,9 +55,6 @@ pub fn preflight_pairwise(model: &HierGat, ds: &PairDataset) -> Option<hiergat_n
     let pair = ds.train.first()?;
     let report = model.analyze_pair(pair);
     report_preflight(&ds.name, ds.train.len(), &report);
-    if model.config().use_arena {
-        eprintln!("[preflight] {}: arena plan {}", ds.name, model.plan_pair(pair));
-    }
     Some(report)
 }
 
@@ -69,9 +66,6 @@ pub fn preflight_collective(
     let ex = ds.train.first()?;
     let report = model.analyze_collective(ex);
     report_preflight(&ds.name, ds.train.len(), &report);
-    if model.config().use_arena {
-        eprintln!("[preflight] {}: arena plan {}", ds.name, model.plan_collective(ex));
-    }
     Some(report)
 }
 

@@ -617,9 +617,7 @@ fn op_flops_and_rows(tape: &Tape, op: &Op) -> (u64, usize) {
 /// memory assumes each node's value dies right after its last consumer, the
 /// same liveness rule a freeing executor would use — but it models the
 /// **forward pass only** (backward adjoints and parameter storage are not
-/// counted). A training step also keeps every reachable node's gradient
-/// buffer alive through its backward visit; use [`peak_bytes_backward`] for
-/// the full-step figure the arena planner sizes against.
+/// counted).
 pub fn cost_analysis(tape: &Tape, split: usize) -> CostReport {
     let n = tape.len();
     let mut per_op = Vec::with_capacity(n);
@@ -667,32 +665,6 @@ pub fn cost_analysis(tape: &Tape, split: usize) -> CostReport {
     }
 
     CostReport { per_op, total_flops, parallel_flops, peak_bytes, split }
-}
-
-/// Backward-inclusive peak-memory lower bound for one training step, in
-/// bytes.
-///
-/// [`cost_analysis`] models the forward pass only, so it understates a
-/// training step: every node reachable from the loss also owns a gradient
-/// adjoint that stays live from its first producer in the backward sweep
-/// until the node's own backward visit, and several backward rules re-read
-/// forward values long after their last forward consumer. This estimate
-/// delegates to the arena planner's liveness sweep
-/// ([`crate::plan::ExecutionPlan::build`]), which models both, and returns
-/// the max-live-bytes lower bound every valid packing (including the
-/// planner's own greedy one) must meet or exceed.
-///
-/// Leaf values (inputs and parameters) are owned by the tape and the
-/// [`ParamStore`] rather than the step's working set, so — unlike
-/// [`cost_analysis`] — they are not counted here, while their *gradients*
-/// are.
-///
-/// # Panics
-/// Panics if `tape` is shape-only (clamped shapes would produce a bogus
-/// budget; record with [`Tape::deferred`](crate::Tape::deferred) instead) or
-/// if `loss` is not a scalar on `tape`.
-pub fn peak_bytes_backward(tape: &Tape, loss: Var) -> u64 {
-    crate::plan::ExecutionPlan::build(tape, loss).report().lower_bound_bytes
 }
 
 /// Scans every recorded forward value and reports non-finite tensors, in
@@ -885,62 +857,6 @@ mod tests {
         assert_eq!(cost.peak_bytes, 3 * 40_000);
         let total: u64 = cost.per_op.iter().map(|o| o.out_bytes).sum();
         assert!(cost.peak_bytes < total);
-    }
-
-    #[test]
-    fn peak_bytes_backward_exceeds_forward_only_estimate() {
-        // Same residual graph as the liveness test above, recorded with real
-        // values: the backward sweep keeps gradient adjoints for x, tanh,
-        // and add live on top of the forward values, so the full-step
-        // figure must be strictly larger than the forward-only one.
-        let mut ps = ParamStore::new();
-        let w = ps.add("w", Tensor::ones(100, 100));
-        let mut t = Tape::new();
-        let x = t.param(&ps, w);
-        let a = t.tanh(x);
-        let b = t.add(x, a);
-        let loss = t.sum_all(b);
-        let fwd = cost_analysis(&t, 1).peak_bytes;
-        let bwd = peak_bytes_backward(&t, loss);
-        assert!(
-            bwd > fwd,
-            "backward-inclusive estimate ({bwd} B) must exceed forward-only ({fwd} B)"
-        );
-    }
-
-    #[test]
-    fn backward_estimate_bounded_by_instrumented_heap_traffic_and_plan() {
-        use crate::plan::ExecutionPlan;
-        use hiergat_tensor::alloc_stats;
-        let mut ps = ParamStore::new();
-        ps.add("w", Tensor::ones(64, 64));
-        let record = |t: &mut Tape, ps: &ParamStore| {
-            let x = t.param(ps, ps.id_of("w").expect("registered"));
-            let a = t.tanh(x);
-            let b = t.mul(a, a);
-            let c = t.add(x, b);
-            t.mean_all(c)
-        };
-        // The estimate is a *lower bound*: the greedy plan's arena must meet
-        // it, and the heap path — which allocates a fresh tensor per node
-        // value and per adjoint — must allocate at least that many bytes
-        // over the step. (Other tests allocating concurrently only inflate
-        // the instrumented figure, never deflate it.)
-        let mut td = Tape::deferred();
-        let ld = record(&mut td, &ps);
-        let est = peak_bytes_backward(&td, ld);
-        let plan = ExecutionPlan::build(&td, ld);
-        assert!(plan.report().arena_bytes >= est);
-        let before = alloc_stats();
-        let mut t = Tape::new();
-        let loss = record(&mut t, &ps);
-        t.backward(loss, &mut ps);
-        let spent = alloc_stats().since(before);
-        assert!(
-            spent.bytes as u64 >= est,
-            "heap step allocated {} B, below the liveness lower bound {est} B",
-            spent.bytes
-        );
     }
 
     #[test]

@@ -41,38 +41,7 @@ pub fn check_gradients(
     let mut tape = Tape::new();
     let loss = build(&mut tape, store);
     tape.backward(loss, store);
-    finite_difference_scan(store, build, eps, tol)
-}
 
-/// Like [`check_gradients`], but the analytic pass records the graph on a
-/// deferred tape and backpropagates through the arena executor
-/// ([`crate::plan::ArenaExecutor`]) instead of `Tape::backward`, proving
-/// the planned replay produces correct gradients for the same builder.
-/// The finite-difference side still uses eager tapes (it needs forward
-/// values, which deferred tapes do not materialize).
-pub fn check_gradients_arena(
-    store: &mut ParamStore,
-    mut build: impl FnMut(&mut Tape, &ParamStore) -> Var,
-    eps: f32,
-    tol: f32,
-) -> Vec<GradMismatch> {
-    // Analytic pass through the planner.
-    store.zero_grad();
-    let mut tape = Tape::deferred();
-    let loss = build(&mut tape, store);
-    let mut exec = crate::plan::ArenaExecutor::new();
-    let _ = exec.step(&tape, loss, store);
-    finite_difference_scan(store, build, eps, tol)
-}
-
-/// Compares the analytic gradients currently held in `store` against
-/// central finite differences of `build`.
-fn finite_difference_scan(
-    store: &mut ParamStore,
-    mut build: impl FnMut(&mut Tape, &ParamStore) -> Var,
-    eps: f32,
-    tol: f32,
-) -> Vec<GradMismatch> {
     let ids: Vec<_> = store.ids().collect();
     let analytic: Vec<Vec<f32>> =
         ids.iter().map(|&id| store.grad(id).as_slice().to_vec()).collect();
@@ -121,23 +90,6 @@ pub fn assert_gradients_ok(
     assert!(
         mismatches.is_empty(),
         "gradient check failed for {} scalars; first: {:?}",
-        mismatches.len(),
-        mismatches.first()
-    );
-}
-
-/// Panics if the arena-backed analytic gradients disagree with finite
-/// differences (see [`check_gradients_arena`]).
-pub fn assert_gradients_ok_arena(
-    store: &mut ParamStore,
-    build: impl FnMut(&mut Tape, &ParamStore) -> Var,
-    eps: f32,
-    tol: f32,
-) {
-    let mismatches = check_gradients_arena(store, build, eps, tol);
-    assert!(
-        mismatches.is_empty(),
-        "arena gradient check failed for {} scalars; first: {:?}",
         mismatches.len(),
         mismatches.first()
     );

@@ -32,8 +32,8 @@ pub use absint::{
     QuantSummary, SeedMode,
 };
 pub use analyze::{
-    analyze_graph, cost_analysis, finite_audit, peak_bytes_backward, CostReport, DeadParam,
-    GraphReport, OpCost, SentinelHit, ShapeViolation, UnusedNode,
+    analyze_graph, cost_analysis, finite_audit, CostReport, DeadParam, GraphReport, OpCost,
+    SentinelHit, ShapeViolation, UnusedNode,
 };
 pub use layers::{
     GruCell, LayerNorm, Linear, MultiHeadSelfAttention, TransformerEncoder, TransformerEncoderLayer,

@@ -240,7 +240,7 @@ pub struct Optimized {
 ///
 /// See the module docs for the pass catalogue. The returned tape is in the
 /// same recording mode as `tape` (eager values are recomputed with the
-/// same kernels; deferred/inference tapes stay deferred and execute
+/// same kernels; inference tapes stay deferred and execute
 /// through the arena planner as usual).
 ///
 /// # Panics
@@ -367,7 +367,7 @@ fn pass_flags(cfg: &OptimizeConfig) -> u8 {
 /// Cheap bucket key: structure is confirmed by `sig_matches` afterwards,
 /// so this only needs to spread genuinely different geometries.
 fn cheap_key(tape: &Tape, root: Var) -> u64 {
-    ((root.index() as u64) << 32) ^ (tape.len() as u64) ^ (u64::from(tape.is_inference()) << 63)
+    ((root.index() as u64) << 32) ^ (tape.len() as u64)
 }
 
 /// [`optimize_owned`] behind a decisions-and-tape cache: a deferred tape
@@ -398,7 +398,7 @@ pub fn optimize_with_cache<'c>(
     ps: &ParamStore,
     cfg: &OptimizeConfig,
 ) -> CachedOptimized<'c> {
-    if cfg.verify || tape.is_shape_only() || !tape.is_deferred() {
+    if cfg.verify || tape.is_shape_only() || !tape.is_inference() {
         let opt = if cfg.verify {
             optimize(&tape, root, ps, cfg)
         } else {
@@ -408,14 +408,13 @@ pub fn optimize_with_cache<'c>(
         return CachedOptimized { tape: &o.tape, root: o.root, report: &o.report };
     }
     assert!(root.index() < tape.len(), "optimize: root is not a node of this tape");
-    assert!(!tape.is_shape_only() && tape.is_deferred(), "checked by the delegation gate above");
+    assert!(!tape.is_shape_only() && tape.is_inference(), "checked by the delegation gate above");
     let key = cheap_key(&tape, root);
     let flags = pass_flags(cfg);
-    let inference = tape.is_inference();
     let pos = cache.entries.get(&key).and_then(|bucket| {
         bucket.iter().position(|e| {
             e.flags == flags
-                && crate::plan::sig_matches(&tape, root, inference, &e.sig)
+                && crate::plan::sig_matches(&tape, root, &e.sig)
                 && decisions_valid(&e.dec, &tape, ps)
         })
     });
@@ -438,7 +437,7 @@ pub fn optimize_with_cache<'c>(
             let flops_before =
                 if cfg.certificates { cost_analysis(&tape, 1).total_flops } else { 0 };
             cache.scratch.clear();
-            crate::plan::signature_into(&tape, root, inference, &mut cache.scratch);
+            crate::plan::signature_into(&tape, root, &mut cache.scratch);
             let mut src = Owned(tape);
             let mut out = run_passes(&mut src, root, ps, cfg, &HashSet::new());
             let plan = std::mem::take(&mut out.plan);
@@ -489,7 +488,7 @@ fn decisions_valid(d: &Decisions, tape: &Tape, ps: &ParamStore) -> bool {
         }
     }
     if d.plan.fold_ok.iter().any(|&f| f) {
-        let eager = !tape.is_shape_only() && !tape.is_deferred();
+        let eager = !tape.is_shape_only() && !tape.is_inference();
         if eager {
             for i in 0..n {
                 if d.plan.fold_ok[i] && tape.node_value(i).has_non_finite() {
@@ -810,7 +809,7 @@ fn resolve(alias: &[Option<usize>], mut i: usize) -> usize {
 /// even on shape-only and deferred tapes). Shape-only placeholders are
 /// all-zeros and must never be mistaken for a recorded zero tensor.
 fn concrete_value(tape: &Tape, i: usize) -> Option<&Tensor> {
-    let eager = !tape.is_shape_only() && !tape.is_deferred();
+    let eager = !tape.is_shape_only() && !tape.is_inference();
     if !eager && !matches!(tape.op_at(i), Op::Input) {
         return None;
     }
@@ -890,7 +889,7 @@ fn run_passes<S: TapeSource>(
     blacklist: &HashSet<usize>,
 ) -> PassOutput {
     let n = src.tape().len();
-    let eager = !src.tape().is_shape_only() && !src.tape().is_deferred();
+    let eager = !src.tape().is_shape_only() && !src.tape().is_inference();
 
     // ---- Planning (borrows the source tape immutably throughout) ----------
     let planned = plan_passes(src.tape(), root, ps, cfg, blacklist);
@@ -1095,7 +1094,7 @@ fn plan_passes(
 ) -> PlanData {
     let n = tape.len();
     let shape_only = tape.is_shape_only();
-    let eager = !shape_only && !tape.is_deferred();
+    let eager = !shape_only && !tape.is_inference();
 
     // ---- Rewrite planning (old-index space) -------------------------------
     let mut fused: Vec<Option<Op>> = (0..n).map(|_| None).collect();
@@ -1259,7 +1258,7 @@ fn elision_target(tape: &Tape, i: usize) -> Option<usize> {
 /// vector and the hot path allocates nothing.
 fn scratch_fold_values(tape: &Tape, plan: &PlanData, ps: &ParamStore) -> Vec<Option<Tensor>> {
     let n = tape.len();
-    let eager = !tape.is_shape_only() && !tape.is_deferred();
+    let eager = !tape.is_shape_only() && !tape.is_inference();
     let PlanData { fused, alias, fold_ok, live } = plan;
     if eager || !fold_ok.iter().any(|&f| f) {
         return Vec::new();
@@ -1641,7 +1640,7 @@ mod tests {
         let mut inf = Tape::inference();
         let inf_root = build(&mut inf);
         let opt = optimize(&inf, inf_root, &ps, &OptimizeConfig::default());
-        assert!(opt.tape.is_deferred() && opt.tape.is_inference());
+        assert!(opt.tape.is_inference());
         assert!(opt.tape.is_optimized());
         assert_eq!(opt.report.folded, 1);
 

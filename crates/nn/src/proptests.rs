@@ -429,8 +429,8 @@ proptest! {
         );
     }
 
-    /// The arena planner's core invariants hold on random op chains: every
-    /// slot fits inside the arena, any two slots whose live intervals
+    /// The inference planner's core invariants hold on random op chains:
+    /// every slot fits inside the arena, any two slots whose live intervals
     /// overlap get disjoint spans (the aliasing invariant the executor's
     /// correctness rests on), and the planned size is sandwiched between
     /// the liveness-theoretic lower bound and the no-reuse naive sum.
@@ -445,18 +445,19 @@ proptest! {
         let mut ps = ParamStore::new();
         let a = ps.add("a", Tensor::rand_normal(rows, cols, 0.0, 0.8, &mut rng));
         let b = ps.add("b", Tensor::rand_normal(rows, cols, 0.0, 0.8, &mut rng));
-        let mut t = Tape::deferred();
+        let mut t = Tape::inference();
         let av = t.param(&ps, a);
         let bv = t.param(&ps, b);
-        let mut x = t.add(av, bv);
+        let sum = t.add(av, bv);
+        let mut x = sum;
         for &op in &ops {
             x = apply(&mut t, op, x);
         }
-        // Fan `a` back in so at least one value stays live across the whole
-        // chain, forcing overlapping intervals.
-        let y = t.mul(x, av);
-        let loss = t.mean_all(y);
-        let plan = crate::plan::ExecutionPlan::build(&t, loss);
+        // Fan the first sum back in so one arena value stays live across the
+        // whole chain, forcing overlapping intervals.
+        let y = t.mul(x, sum);
+        let out = t.mean_all(y);
+        let plan = crate::plan::ExecutionPlan::build_inference(&t, out);
         let report = plan.report();
         let elems = plan.arena_elems();
         prop_assert_eq!(report.arena_bytes, (elems * size_of::<f32>()) as u64);

@@ -337,7 +337,6 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     shape_only: bool,
-    deferred: bool,
     inference: bool,
     optimized: bool,
     violations: Vec<ShapeViolation>,
@@ -360,35 +359,21 @@ impl Tape {
         Self { shape_only: true, ..Self::default() }
     }
 
-    /// Creates a tape whose ops record **true** shapes but no values:
-    /// non-leaf nodes hold storage-free [`Tensor::placeholder`]s and the
-    /// whole graph executes later through an arena plan
-    /// (`hiergat_nn::plan`).
+    /// Creates an eval-mode tape for the forward-only inference engine.
     ///
-    /// Differences from [`Self::shape_only`]: shapes are exact (no 1x1
-    /// clamping of degenerate dims), a shape violation panics instead of
-    /// being collected (an invalid graph cannot be planned), input tensors
-    /// keep their real data (the executor copies leaf values from the tape
-    /// and the [`ParamStore`]), and dropout samples its mask with exactly
-    /// the eager RNG stream so arena execution is bitwise identical to
-    /// eager execution.
-    pub fn deferred() -> Self {
-        Self { deferred: true, ..Self::default() }
-    }
-
-    /// Creates an eval-mode deferred tape for the forward-only inference
-    /// engine.
-    ///
-    /// Like [`Self::deferred`], ops record exact shapes and storage-free
-    /// placeholders for later arena execution — but the graph is a pure
-    /// forward pass: dropout is elided entirely (no mask sampled, no RNG
-    /// consumed, matching eager eval mode bitwise), [`Self::backward`] is
-    /// rejected, and the plan built from it
-    /// ([`crate::ExecutionPlan::build_inference`]) has no adjoint timeline,
-    /// so gradients are never allocated and value spans are recycled as soon
-    /// as their last forward consumer runs.
+    /// Ops record **true** shapes but no values: non-leaf nodes hold
+    /// storage-free [`Tensor::placeholder`]s and the whole graph executes
+    /// later through an arena plan
+    /// ([`crate::ExecutionPlan::build_inference`]). Differences from
+    /// [`Self::shape_only`]: shapes are exact (no 1x1 clamping of degenerate
+    /// dims), a shape violation panics instead of being collected (an
+    /// invalid graph cannot be planned), and input tensors keep their real
+    /// data (the executor reads leaf values from the tape and the
+    /// [`ParamStore`]). The graph is a pure forward pass: dropout is elided
+    /// entirely (no mask sampled, no RNG consumed, matching eager eval mode
+    /// bitwise) and [`Self::backward`] is rejected.
     pub fn inference() -> Self {
-        Self { deferred: true, inference: true, ..Self::default() }
+        Self { inference: true, ..Self::default() }
     }
 
     /// `true` if this tape skips kernels and only tracks shapes.
@@ -396,12 +381,8 @@ impl Tape {
         self.shape_only
     }
 
-    /// `true` if this tape records true shapes for arena execution.
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
-    }
-
-    /// `true` if this tape records an eval-mode forward-only graph.
+    /// `true` if this tape records an eval-mode forward-only graph with
+    /// deferred values, for arena execution.
     pub fn is_inference(&self) -> bool {
         self.inference
     }
@@ -421,12 +402,7 @@ impl Tape {
     /// An empty tape in the same recording mode as `self` (the rewrite
     /// engine re-emits surviving ops into one of these).
     pub(crate) fn mode_like(&self) -> Self {
-        Self {
-            shape_only: self.shape_only,
-            deferred: self.deferred,
-            inference: self.inference,
-            ..Self::default()
-        }
+        Self { shape_only: self.shape_only, inference: self.inference, ..Self::default() }
     }
 
     /// Shape-constraint failures collected during shape-only recording.
@@ -612,12 +588,12 @@ impl Tape {
     }
 
     /// Records `op`, computing its value with `eager` unless this is a
-    /// shape-only or deferred tape.
+    /// shape-only or inference tape.
     fn record(&mut self, op: Op, eager: impl FnOnce(&Self) -> Tensor) -> Var {
         if self.shape_only {
             return self.push_inferred(op);
         }
-        if self.deferred {
+        if self.inference {
             return self.push_deferred(op);
         }
         let value = eager(self);
@@ -626,7 +602,7 @@ impl Tape {
 
     /// Records a constant input tensor.
     ///
-    /// Inputs keep their real data even on deferred tapes: the arena
+    /// Inputs keep their real data even on inference tapes: the arena
     /// executor reads leaf values straight from the tape.
     pub fn input(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Input)
@@ -639,7 +615,7 @@ impl Tape {
 
     /// Records a parameter leaf; gradients will accumulate in the store.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if self.deferred {
+        if self.inference {
             // The executor reads the live parameter from the store at
             // execution time; cloning the value here would be both a wasted
             // allocation and a staleness hazard across optimizer steps.
@@ -877,22 +853,6 @@ impl Tape {
         }
         assert!(p < 1.0, "dropout: p must be < 1");
         let keep = 1.0 - p;
-        if self.deferred {
-            // The mask is sampled here, with exactly the eager loop below, so
-            // a deferred tape consumes the same RNG stream as an eager tape
-            // and arena execution replays identical masks. Only the product
-            // is deferred.
-            let (rows, cols) = self.value(x).shape();
-            let mut mask = Tensor::zeros(rows, cols);
-            for m in mask.as_mut_slice() {
-                if rng.gen::<f32>() < keep {
-                    *m = 1.0 / keep;
-                }
-            }
-            self.nodes
-                .push(Node { value: Tensor::placeholder(rows, cols), op: Op::Dropout { x, mask } });
-            return Var(self.nodes.len() - 1);
-        }
         let xv = self.value(x);
         let mut mask = Tensor::zeros(xv.rows(), xv.cols());
         for m in mask.as_mut_slice() {
@@ -991,11 +951,10 @@ impl Tape {
     ///
     /// # Panics
     /// Panics if `loss` is not `1 x 1`, or if called on a shape-only or
-    /// deferred tape (placeholder values have no gradients; deferred tapes
-    /// differentiate through `hiergat_nn::plan::ArenaExecutor`).
+    /// inference tape (placeholder values have no gradients).
     pub fn backward(&self, loss: Var, store: &mut ParamStore) {
         assert!(!self.shape_only, "backward: shape-only tapes record no values");
-        assert!(!self.deferred, "backward: deferred tapes execute through the arena planner");
+        assert!(!self.inference, "backward: inference tapes record no values");
         assert!(self.value(loss).is_scalar(), "backward: loss must be scalar");
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Tensor::scalar(1.0));
@@ -1384,7 +1343,6 @@ mod tests {
     fn inference_tape_elides_dropout_without_consuming_rng() {
         let mut t = Tape::inference();
         assert!(t.is_inference());
-        assert!(t.is_deferred());
         let mut rng = StdRng::seed_from_u64(7);
         let x = t.input(Tensor::ones(2, 4));
         // Even with train=true, an inference tape records no dropout node...
@@ -1476,8 +1434,8 @@ mod tests {
     fn deferred_records_true_shapes_without_values() {
         let mut ps = ParamStore::new();
         let w = ps.add("w", Tensor::ones(3, 2));
-        let mut t = Tape::deferred();
-        assert!(t.is_deferred());
+        let mut t = Tape::inference();
+        assert!(t.is_inference());
         let x = t.input(Tensor::ones(4, 3));
         let wv = t.param(&ps, w);
         let y = t.matmul(x, wv);
@@ -1494,17 +1452,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "deferred tape op")]
     fn deferred_shape_violation_panics() {
-        let mut t = Tape::deferred();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::ones(2, 3));
         let b = t.input(Tensor::ones(4, 5));
         t.matmul(a, b);
     }
 
     #[test]
-    #[should_panic(expected = "deferred tapes execute through the arena planner")]
+    #[should_panic(expected = "inference tapes record no values")]
     fn backward_rejects_deferred_tapes() {
         let mut ps = ParamStore::new();
-        let mut t = Tape::deferred();
+        let mut t = Tape::inference();
         let x = t.input(Tensor::zeros(1, 1));
         let loss = t.sum_all(x);
         t.backward(loss, &mut ps);
@@ -1562,31 +1520,9 @@ mod tests {
         let mut t = Tape::inference();
         t.input(Tensor::ones(1, 1));
         let fresh = t.mode_like();
-        assert!(fresh.is_deferred());
         assert!(fresh.is_inference());
         assert!(!fresh.is_shape_only());
         assert!(fresh.is_empty());
         assert!(!fresh.is_optimized());
-    }
-
-    #[test]
-    fn deferred_dropout_consumes_eager_rng_stream() {
-        let mut rng_eager = StdRng::seed_from_u64(11);
-        let mut rng_def = rng_eager.clone();
-
-        let mut eager = Tape::new();
-        let xe = eager.input(Tensor::ones(4, 6));
-        eager.dropout(xe, 0.4, true, &mut rng_eager);
-
-        let mut def = Tape::deferred();
-        let xd = def.input(Tensor::ones(4, 6));
-        let yd = def.dropout(xd, 0.4, true, &mut rng_def);
-
-        assert_eq!(rng_eager, rng_def, "deferred dropout must match eager RNG consumption");
-        assert!(def.value(yd).is_placeholder());
-        let Op::Dropout { mask, .. } = def.op_at(yd.index()) else {
-            panic!("expected dropout node");
-        };
-        assert!(!mask.is_placeholder(), "deferred dropout mask must carry real data");
     }
 }

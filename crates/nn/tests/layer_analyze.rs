@@ -1,19 +1,16 @@
 //! Analyzer acceptance for every layer in `hiergat_nn::layers`.
 //!
-//! Each test drives the same forward builder through three harnesses:
+//! Each test drives the same forward builder through two harnesses:
 //!
 //! 1. finite-difference gradient checking on an eager tape, proving the
 //!    graph the layer records is differentiable and correct;
-//! 2. the same gradient check with the analytic pass routed through the
-//!    arena executor on a deferred tape, proving the planned replay
-//!    backpropagates the layer correctly;
-//! 3. the static analyzer on a shape-only tape, proving the same graph
+//! 2. the static analyzer on a shape-only tape, proving the same graph
 //!    passes shape inference with no dead parameters or unused nodes.
 //!
 //! Together they pin down the contract the analyzer assumes: any graph a
 //! layer builds is analyzable without running kernels.
 
-use hiergat_nn::gradcheck::{assert_gradients_ok, assert_gradients_ok_arena};
+use hiergat_nn::gradcheck::assert_gradients_ok;
 use hiergat_nn::{
     analyze_graph, GruCell, LayerNorm, Linear, MultiHeadSelfAttention, ParamStore, Tape,
     TransformerEncoder, TransformerEncoderLayer, Var,
@@ -42,7 +39,6 @@ fn linear_layer_gradchecks_and_analyzes_clean() {
         t.mean_all(h)
     };
     assert_gradients_ok(&mut ps, build, 1e-3, 2e-2);
-    assert_gradients_ok_arena(&mut ps, build, 1e-3, 2e-2);
     assert_analyzer_clean(&ps, build);
 }
 
@@ -59,7 +55,6 @@ fn layer_norm_gradchecks_and_analyzes_clean() {
         t.mean_all(h)
     };
     assert_gradients_ok(&mut ps, build, 1e-3, 3e-2);
-    assert_gradients_ok_arena(&mut ps, build, 1e-3, 3e-2);
     assert_analyzer_clean(&ps, build);
 }
 
@@ -75,7 +70,6 @@ fn gru_cell_gradchecks_and_analyzes_clean() {
         t.mean_all(states)
     };
     assert_gradients_ok(&mut ps, build, 1e-3, 3e-2);
-    assert_gradients_ok_arena(&mut ps, build, 1e-3, 3e-2);
     assert_analyzer_clean(&ps, build);
 }
 
@@ -91,7 +85,6 @@ fn multi_head_attention_gradchecks_and_analyzes_clean() {
         t.mean_all(h)
     };
     assert_gradients_ok(&mut ps, build, 1e-3, 3e-2);
-    assert_gradients_ok_arena(&mut ps, build, 1e-3, 3e-2);
     assert_analyzer_clean(&ps, build);
 }
 
@@ -108,7 +101,6 @@ fn transformer_layer_gradchecks_and_analyzes_clean() {
         t.mean_all(h)
     };
     assert_gradients_ok(&mut ps, build, 1e-3, 4e-2);
-    assert_gradients_ok_arena(&mut ps, build, 1e-3, 4e-2);
     assert_analyzer_clean(&ps, build);
 }
 
@@ -125,6 +117,5 @@ fn transformer_encoder_gradchecks_and_analyzes_clean() {
         t.mean_all(h)
     };
     assert_gradients_ok(&mut ps, build, 1e-3, 4e-2);
-    assert_gradients_ok_arena(&mut ps, build, 1e-3, 4e-2);
     assert_analyzer_clean(&ps, build);
 }

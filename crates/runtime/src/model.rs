@@ -99,10 +99,6 @@ pub trait ErModel: Send + Sync {
     /// Rule-engine lint of the training graph.
     fn lint_training(&self, ex: Example<'_>) -> LintReport;
 
-    /// Arena memory plan of the training graph (forward + backward
-    /// liveness).
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport;
-
     /// Validation-tuned decision threshold; 0.5 until tuned.
     fn decision_threshold(&self) -> f32 {
         0.5
@@ -183,9 +179,6 @@ impl ErModel for HierGatPairwise {
     fn lint_training(&self, ex: Example<'_>) -> LintReport {
         self.0.lint_pair(ex.expect_pair())
     }
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport {
-        self.0.plan_pair(ex.expect_pair())
-    }
     fn decision_threshold(&self) -> f32 {
         self.0.decision_threshold()
     }
@@ -219,9 +212,6 @@ impl ErModel for HierGatCollective {
     fn lint_training(&self, ex: Example<'_>) -> LintReport {
         self.0.lint_collective(ex.expect_collective())
     }
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport {
-        self.0.plan_collective(ex.expect_collective())
-    }
     fn decision_threshold(&self) -> f32 {
         self.0.decision_threshold()
     }
@@ -252,9 +242,6 @@ impl ErModel for Ditto {
     fn lint_training(&self, ex: Example<'_>) -> LintReport {
         Ditto::lint(self, ex.expect_pair())
     }
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport {
-        Ditto::plan(self, ex.expect_pair())
-    }
 }
 
 impl ErModel for DeepMatcher {
@@ -278,9 +265,6 @@ impl ErModel for DeepMatcher {
     }
     fn lint_training(&self, ex: Example<'_>) -> LintReport {
         DeepMatcher::lint(self, ex.expect_pair())
-    }
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport {
-        DeepMatcher::plan(self, ex.expect_pair())
     }
 }
 
@@ -306,9 +290,6 @@ impl ErModel for DmPlus {
     fn lint_training(&self, ex: Example<'_>) -> LintReport {
         DmPlus::lint(self, ex.expect_pair())
     }
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport {
-        DmPlus::plan(self, ex.expect_pair())
-    }
 }
 
 impl ErModel for GnnCollective {
@@ -332,8 +313,5 @@ impl ErModel for GnnCollective {
     }
     fn lint_training(&self, ex: Example<'_>) -> LintReport {
         GnnCollective::lint(self, ex.expect_collective())
-    }
-    fn plan_training(&self, ex: Example<'_>) -> PlanReport {
-        GnnCollective::plan(self, ex.expect_collective())
     }
 }
