@@ -21,6 +21,28 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark package (crates/bench/examples/perf) is a Cargo package of
+# its own outside the workspace, so the workspace steps above do not cover
+# it. It imports the nn internals' public surface; lint and test it here.
+perf=crates/bench/examples/perf/Cargo.toml
+echo "==> cargo fmt --check --manifest-path $perf"
+cargo fmt --check --manifest-path "$perf"
+
+echo "==> cargo clippy --offline --all-targets --manifest-path $perf -- -D warnings"
+cargo clippy --offline --all-targets --manifest-path "$perf" -- -D warnings
+
+echo "==> cargo test --offline --release --manifest-path $perf"
+cargo test --offline --release --manifest-path "$perf"
+
+# Golden-bits gate: session scores and one training step's loss and
+# gradients must match the committed bit patterns (portable build only; the
+# simd tile rounds differently) under a real 1-wide and a real 8-wide pool.
+echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test golden_bits"
+HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test golden_bits
+
+echo "==> HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --test golden_bits"
+HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --test golden_bits
+
 # Kernel-equivalence sweep: the tensor suite's bitwise serial-vs-parallel
 # tests must hold under a real single-thread pool and a real 8-wide pool,
 # not just the in-process width override. The sweep runs in both feature
@@ -39,9 +61,9 @@ HIERGAT_THREADS=1 cargo test -q -p hiergat-tensor --features simd
 echo "==> HIERGAT_THREADS=8 cargo test -q -p hiergat-tensor --features simd"
 HIERGAT_THREADS=8 cargo test -q -p hiergat-tensor --features simd
 
-# Arena zero-allocation gate: steady-state inference replays must
-# allocate no tensors under a real single-thread pool and a real 8-wide
-# pool.
+# Arena zero-allocation gate: steady-state inference replays must make no
+# heap allocation at split width 1 and allocate no tensors at width 8,
+# under a real single-thread pool and a real 8-wide pool.
 echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test arena_zero_alloc"
 HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test arena_zero_alloc
 

@@ -14,6 +14,7 @@
 pub mod absint;
 pub mod analyze;
 pub mod checkpoint;
+mod forward;
 pub mod gradcheck;
 mod layers;
 pub mod lint;

@@ -1413,9 +1413,10 @@ fn cse_key(
 }
 
 /// Re-records `op` (originally at `src` index `i`) onto `dst`, with inputs
-/// remapped through `m`. Dispatching through the public recording methods
-/// reuses the exact eager kernels / shape-inference paths of the original
-/// recording, so eager re-emission is bitwise-identical recomputation.
+/// remapped through `m`. Leaves copy their value (inputs) or re-read the
+/// store (params); every other op goes through [`Tape::record`], so eager
+/// re-emission recomputes with the same forward kernel and deferred
+/// re-emission re-derives the same shape.
 fn emit_op(
     dst: &mut Tape,
     src: &Tape,
@@ -1427,53 +1428,7 @@ fn emit_op(
     match op {
         Op::Input => dst.input(src.node_value(i).clone()),
         Op::Param(id) => dst.param(ps, *id),
-        Op::Add(a, b) => dst.add(m(*a), m(*b)),
-        Op::Sub(a, b) => dst.sub(m(*a), m(*b)),
-        Op::Mul(a, b) => dst.mul(m(*a), m(*b)),
-        Op::Scale(a, k) => dst.scale(m(*a), *k),
-        Op::AddScalar(a, k) => dst.add_scalar(m(*a), *k),
-        Op::Div(a, b) => dst.div(m(*a), m(*b)),
-        Op::AddRow(a, b) => dst.add_row(m(*a), m(*b)),
-        Op::AddCol(a, b) => dst.add_col(m(*a), m(*b)),
-        Op::MulCol(a, b) => dst.mul_col(m(*a), m(*b)),
-        Op::Matmul(a, b) => dst.matmul(m(*a), m(*b)),
-        Op::MatmulNt(a, b) => dst.matmul_nt(m(*a), m(*b)),
-        Op::MatmulTn(a, b) => dst.matmul_tn(m(*a), m(*b)),
-        Op::Transpose(a) => dst.transpose(m(*a)),
-        Op::SumAll(a) => dst.sum_all(m(*a)),
-        Op::MeanAll(a) => dst.mean_all(m(*a)),
-        Op::SumRows(a) => dst.sum_rows(m(*a)),
-        Op::SumCols(a) => dst.sum_cols(m(*a)),
-        Op::MaxCols(a) => dst.max_cols(m(*a)),
-        Op::Softmax(a) => dst.softmax(m(*a)),
-        Op::LogSoftmax(a) => dst.log_softmax(m(*a)),
-        Op::Exp(a) => dst.exp(m(*a)),
-        Op::Ln(a) => dst.ln(m(*a)),
-        Op::Sqrt(a) => dst.sqrt(m(*a)),
-        Op::Relu(a) => dst.relu(m(*a)),
-        Op::LeakyRelu(a, alpha) => dst.leaky_relu(m(*a), *alpha),
-        Op::Tanh(a) => dst.tanh(m(*a)),
-        Op::Sigmoid(a) => dst.sigmoid(m(*a)),
-        Op::Gelu(a) => dst.gelu(m(*a)),
-        Op::LayerNorm { x, gamma, beta, eps } => dst.layer_norm(m(*x), m(*gamma), m(*beta), *eps),
-        Op::ConcatCols(parts) => {
-            let mapped: Vec<Var> = parts.iter().map(|&p| m(p)).collect();
-            dst.concat_cols(&mapped)
-        }
-        Op::ConcatRows(parts) => {
-            let mapped: Vec<Var> = parts.iter().map(|&p| m(p)).collect();
-            dst.concat_rows(&mapped)
-        }
-        Op::SliceCols { x, start, len } => dst.slice_cols(m(*x), *start, *len),
-        Op::SliceRows { x, start, len } => dst.slice_rows(m(*x), *start, *len),
-        Op::GatherRows { table, indices } => dst.gather_rows(m(*table), indices),
-        Op::Dropout { x, mask } => dst.dropout_with_mask(m(*x), mask.clone()),
-        Op::CrossEntropyLogits { logits, targets } => dst.cross_entropy_logits(m(*logits), targets),
-        Op::WeightedCrossEntropyLogits { logits, targets, weights } => {
-            dst.weighted_cross_entropy_logits(m(*logits), targets, weights)
-        }
-        Op::BceWithLogits { logits, targets } => dst.bce_with_logits(m(*logits), targets),
-        Op::MseLoss { pred, target } => dst.mse_loss(m(*pred), target),
+        _ => dst.record(op.map_inputs(m)),
     }
 }
 

@@ -4,10 +4,11 @@
 //! [`Tape::inference`] (true shapes, no computed values) and an output node,
 //! runs a liveness analysis over the forward timeline, and assigns every
 //! intermediate value an offset inside one contiguous [`Arena`].
-//! [`ArenaExecutor`] then replays the plan per call: each op's kernel writes
-//! into its planned span, bitwise identical to recording the same graph
-//! eagerly, because every op arm below reproduces the eager tape's
-//! arithmetic (same kernels, same element order, same accumulation order).
+//! [`ArenaExecutor`] then replays the plan per call: each op's value is
+//! written into its planned span by the same forward kernel the eager tape
+//! records with (`forward::eval`, one kernel per op), so a replay is
+//! bitwise identical to recording the same graph eagerly. The golden-bits
+//! suite (`tests/golden_bits.rs`) pins that kernel's arithmetic.
 //!
 //! Training does not run here: it records on an eager tape and
 //! differentiates with `Tape::backward`, which is also the reference every
@@ -27,30 +28,22 @@
 //! span being written, so a planner bug is a loud failure, not corruption.
 
 use crate::analyze;
+use crate::forward;
 use crate::params::ParamStore;
 use crate::tape::{Op, Tape, Var};
-use hiergat_tensor::{
-    log_softmax_rows_inplace, matmul_into, matmul_nt_into, matmul_tn_into, row_moments_into,
-    softmax_rows_inplace, Arena, Span, SpanReader, Tensor,
-};
+use hiergat_tensor::{Arena, Span, Tensor};
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// Shape/topology fingerprint of `tape[0..=output]`. Two tapes with equal
-/// signatures produce identical plans (payloads like scale factors and
-/// slice starts are read from the *current* tape at execution time and
-/// never baked into the plan).
-fn signature(tape: &Tape, output: Var) -> Vec<u64> {
-    let mut sig = Vec::new();
-    signature_into(tape, output, &mut sig);
-    sig
-}
-
-/// [`signature`] written into a caller-owned buffer, so per-call code (the
-/// optimiser's decisions cache) can fingerprint a tape without allocating.
+/// Appends the shape/topology fingerprint of `tape[0..=output]` to `sig`.
+/// Two tapes with equal signatures produce identical plans (payloads like
+/// scale factors and slice starts are read from the *current* tape at
+/// execution time and never baked into the plan). The buffer is the
+/// caller's, so per-call code (the executor's plan lookup, the optimiser's
+/// decisions cache) fingerprints a tape without allocating.
 pub(crate) fn signature_into(tape: &Tape, output: Var, sig: &mut Vec<u64>) {
     // The optimiser bit keeps an optimised graph's plan distinct from the
     // as-recorded graph's even when their shapes coincide.
@@ -242,7 +235,6 @@ pub struct ExecutionPlan {
     reachable: Vec<bool>,
     value_span: Vec<Span>,
     arena_elems: usize,
-    max_rows: usize,
     report: PlanReport,
     signature: Vec<u64>,
     slots: Vec<PlannedSlot>,
@@ -295,7 +287,6 @@ impl ExecutionPlan {
 
         // Storage requests: one value per non-leaf reachable node.
         let mut requests: Vec<Request> = Vec::new();
-        let mut max_rows = 0;
         let mut nodes = 0;
         for i in 0..n {
             if !reachable[i] {
@@ -304,7 +295,6 @@ impl ExecutionPlan {
             nodes += 1;
             let (rows, cols) = tape.value(Var::from_index(i)).shape();
             let elems = rows * cols;
-            max_rows = max_rows.max(rows);
             if elems == 0 || is_leaf(i) {
                 continue;
             }
@@ -372,16 +362,9 @@ impl ExecutionPlan {
             lower_bound_bytes,
             exceeds_lower_bound: arena_bytes > lower_bound_bytes,
         };
-        ExecutionPlan {
-            output,
-            reachable,
-            value_span,
-            arena_elems,
-            max_rows,
-            report,
-            signature: signature(tape, output),
-            slots,
-        }
+        let mut signature = Vec::new();
+        signature_into(tape, output, &mut signature);
+        ExecutionPlan { output, reachable, value_span, arena_elems, report, signature, slots }
     }
 
     /// The node this plan executes to.
@@ -405,25 +388,21 @@ impl ExecutionPlan {
     }
 }
 
-fn grow(buf: &mut Vec<f32>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-}
-
 /// Executes inference tapes through cached [`ExecutionPlan`]s with zero
-/// tensor allocations in steady state.
+/// heap allocations in steady state.
 ///
-/// The arena, the layer-norm moments buffer, and the plan cache persist
-/// across calls: once a graph shape has been planned, replaying a
-/// same-shape tape allocates nothing (`tests/arena_zero_alloc.rs` pins
-/// this with `hiergat_tensor::alloc_stats`).
+/// The arena, the layer-norm moments buffer, the signature buffer and the
+/// plan cache persist across calls: once a graph shape has been planned,
+/// replaying a same-shape tape allocates nothing
+/// (`tests/arena_zero_alloc.rs` pins this with a counting allocator).
 #[derive(Default)]
 pub struct ArenaExecutor {
     arena: Arena,
-    /// Interleaved per-row (mean, variance) for the layer-norm arm:
-    /// `2 * max_rows` of the largest plan replayed.
+    /// Interleaved per-row (mean, variance) scratch for layer norm, grown
+    /// by the kernel to fit the layer norm with the most rows replayed.
     moments: Vec<f32>,
+    /// Scratch for the plan-cache key of the tape being replayed.
+    sig: Vec<u64>,
     plans: HashMap<u64, ExecutionPlan>,
 }
 
@@ -438,16 +417,19 @@ impl ArenaExecutor {
         self.plans.len()
     }
 
-    /// Looks up (or builds) the plan for this tape's shape signature.
-    /// Associated function over the `plans` field so callers can borrow the
-    /// arena and moments fields independently.
+    /// Looks up (or builds) the plan for this tape's shape signature,
+    /// fingerprinting into the reused `sig` buffer. Associated function
+    /// over the `plans` and `sig` fields so callers can borrow the arena and
+    /// moments fields independently.
     fn cached_plan<'p>(
         plans: &'p mut HashMap<u64, ExecutionPlan>,
+        sig: &mut Vec<u64>,
         tape: &Tape,
         output: Var,
     ) -> &'p ExecutionPlan {
-        let sig = signature(tape, output);
-        let key = hash_signature(&sig);
+        sig.clear();
+        signature_into(tape, output, sig);
+        let key = hash_signature(sig);
         if plans.len() > 512 && !plans.contains_key(&key) {
             // Runaway shape diversity (e.g. per-pair graph sizes): cap the
             // cache rather than grow without bound.
@@ -455,7 +437,7 @@ impl ArenaExecutor {
         }
         let build = || ExecutionPlan::build_inference(tape, output);
         let entry = plans.entry(key).or_insert_with(build);
-        if entry.signature != sig {
+        if entry.signature != *sig {
             // Hash collision between distinct shapes: rebuild for the
             // current tape (correctness first; collisions are ~never).
             *entry = build();
@@ -466,7 +448,7 @@ impl ArenaExecutor {
     /// Plans (or reuses a cached **inference** plan for) `tape` up to
     /// `output` and returns its report.
     pub fn infer_report(&mut self, tape: &Tape, output: Var) -> PlanReport {
-        Self::cached_plan(&mut self.plans, tape, output).report.clone()
+        Self::cached_plan(&mut self.plans, &mut self.sig, tape, output).report.clone()
     }
 
     /// Executes an inference tape through its forward-only plan and copies
@@ -475,17 +457,16 @@ impl ArenaExecutor {
     /// Zero allocations in steady state: once the graph shape is planned and
     /// the arena and moments buffer are grown, replaying a same-shape tape
     /// touches only pre-owned buffers. Bitwise identical to recording the
-    /// same graph eagerly — every forward arm reproduces the eager kernels
-    /// exactly.
+    /// same graph eagerly: both run each op through the one shared forward
+    /// kernel.
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the element count of `output`.
     pub fn infer_into(&mut self, tape: &Tape, output: Var, store: &ParamStore, out: &mut [f32]) {
-        let plan = Self::cached_plan(&mut self.plans, tape, output);
+        let plan = Self::cached_plan(&mut self.plans, &mut self.sig, tape, output);
         self.arena.ensure_len(plan.arena_elems);
-        grow(&mut self.moments, 2 * plan.max_rows);
         run_forward(plan, tape, store, &mut self.arena, &mut self.moments);
-        let vals = value_slice_in(&self.arena, plan, tape, store, output);
+        let vals = value_slice(|s| self.arena.read(s), plan, tape, store, output);
         assert_eq!(out.len(), vals.len(), "infer_into: output buffer size mismatch");
         out.copy_from_slice(vals);
     }
@@ -507,9 +488,9 @@ impl ArenaExecutor {
 }
 
 /// Value buffer of `v` during execution: leaves live on the tape / in the
-/// store, everything else in its planned span.
+/// store, everything else in its planned span, fetched with `read`.
 fn value_slice<'s>(
-    rd: SpanReader<'s>,
+    read: impl FnOnce(Span) -> &'s [f32],
     plan: &ExecutionPlan,
     tape: &'s Tape,
     store: &'s ParamStore,
@@ -518,317 +499,46 @@ fn value_slice<'s>(
     match tape.op_at(v.index()) {
         Op::Input => tape.value(v).as_slice(),
         Op::Param(pid) => store.value(*pid).as_slice(),
-        _ => rd.read(plan.value_span[v.index()]),
+        _ => read(plan.value_span[v.index()]),
     }
 }
 
-/// Same routing for phases that read the arena without holding a write span.
-fn value_slice_in<'s>(
-    arena: &'s Arena,
-    plan: &ExecutionPlan,
-    tape: &'s Tape,
-    store: &'s ParamStore,
-    v: Var,
-) -> &'s [f32] {
-    match tape.op_at(v.index()) {
-        Op::Input => tape.value(v).as_slice(),
-        Op::Param(pid) => store.value(*pid).as_slice(),
-        _ => arena.read(plan.value_span[v.index()]),
-    }
-}
-
-fn shape_of(tape: &Tape, v: Var) -> (usize, usize) {
-    tape.value(v).shape()
-}
-
-/// Writes `f(k)` over `out`.
-fn apply(out: &mut [f32], mut f: impl FnMut(usize) -> f32) {
-    for (k, d) in out.iter_mut().enumerate() {
-        *d = f(k);
-    }
-}
-
-/// Replays the forward pass into planned spans. Every arm reproduces the
-/// eager kernel bitwise: shared `*_into` kernels where the heap path uses
-/// them (identical block geometry), identical scalar expressions elsewhere.
-#[allow(clippy::needless_range_loop, clippy::too_many_lines)]
+/// Replays the forward pass into planned spans: each reachable non-leaf
+/// node is evaluated by the shared forward kernel into its span, reading
+/// its inputs through a [`hiergat_tensor::SpanReader`] that panics on any
+/// read overlapping the span being written.
 fn run_forward(
     plan: &ExecutionPlan,
     tape: &Tape,
     store: &ParamStore,
     arena: &mut Arena,
-    moments: &mut [f32],
+    moments: &mut Vec<f32>,
 ) {
-    let l = plan.output.index();
-    for i in 0..=l {
-        if !plan.reachable[i] {
-            continue;
-        }
+    for i in 0..=plan.output.index() {
         let op = tape.op_at(i);
-        if matches!(op, Op::Input | Op::Param(_)) {
+        if !plan.reachable[i] || matches!(op, Op::Input | Op::Param(_)) {
             continue;
         }
-        let w = plan.value_span[i];
-        let (yr, yc) = shape_of(tape, Var::from_index(i));
-        if w.len == 0 {
-            continue;
-        }
-        match op {
-            Op::Input | Op::Param(_) => unreachable!("leaves skipped above"),
-            Op::Add(a, b) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                apply(out, |k| av[k] + bv[k]);
-            }
-            Op::Sub(a, b) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                apply(out, |k| av[k] - bv[k]);
-            }
-            Op::Mul(a, b) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                apply(out, |k| av[k] * bv[k]);
-            }
-            Op::Scale(a, k0) => {
-                let k0 = *k0;
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k] * k0);
-            }
-            Op::AddScalar(a, k0) => {
-                let k0 = *k0;
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k] + k0);
-            }
-            Op::Div(a, b) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                apply(out, |k| av[k] / bv[k]);
-            }
-            Op::AddRow(a, row) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let rv = value_slice(rd, plan, tape, store, *row);
-                apply(out, |k| av[k] + rv[k % yc]);
-            }
-            Op::AddCol(a, col) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let cv = value_slice(rd, plan, tape, store, *col);
-                apply(out, |k| av[k] + cv[k / yc]);
-            }
-            Op::MulCol(a, col) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let cv = value_slice(rd, plan, tape, store, *col);
-                apply(out, |k| av[k] * cv[k / yc]);
-            }
-            Op::Matmul(a, b) => {
-                let (_, ac) = shape_of(tape, *a);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                matmul_into(av, bv, out, yr, ac, yc);
-            }
-            Op::MatmulNt(a, b) => {
-                let (_, ac) = shape_of(tape, *a);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                matmul_nt_into(av, bv, out, yr, ac, yc);
-            }
-            Op::MatmulTn(a, b) => {
-                let (ar, _) = shape_of(tape, *a);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                let bv = value_slice(rd, plan, tape, store, *b);
-                matmul_tn_into(av, bv, out, ar, yr, yc);
-            }
-            Op::Transpose(a) => {
-                let (ar, ac) = shape_of(tape, *a);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[(k % ar) * ac + k / ar]);
-            }
-            Op::SumAll(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                out[0] = av.iter().sum();
-            }
-            Op::MeanAll(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                out[0] = if av.is_empty() { 0.0 } else { av.iter().sum::<f32>() / av.len() as f32 };
-            }
-            Op::SumRows(a) => {
-                let (ar, _) = shape_of(tape, *a);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                out.fill(0.0);
-                for r in 0..ar {
-                    for j in 0..yc {
-                        out[j] += av[r * yc + j];
-                    }
-                }
-            }
-            Op::SumCols(a) => {
-                let (_, ac) = shape_of(tape, *a);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                for r in 0..yr {
-                    out[r] = av[r * ac..(r + 1) * ac].iter().sum();
-                }
-            }
-            Op::MaxCols(a) => {
-                let (_, ac) = shape_of(tape, *a);
-                assert!(ac > 0, "max_cols: tensor has no columns");
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                for r in 0..yr {
-                    out[r] =
-                        av[r * ac..(r + 1) * ac].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                }
-            }
-            Op::Softmax(a) => {
-                {
-                    let (out, rd) = arena.view_mut(w).split();
-                    out.copy_from_slice(value_slice(rd, plan, tape, store, *a));
-                }
-                softmax_rows_inplace(arena.write(w), yr, yc);
-            }
-            Op::LogSoftmax(a) => {
-                {
-                    let (out, rd) = arena.view_mut(w).split();
-                    out.copy_from_slice(value_slice(rd, plan, tape, store, *a));
-                }
-                log_softmax_rows_inplace(arena.write(w), yr, yc);
-            }
-            Op::Exp(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k].exp());
-            }
-            Op::Ln(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k].ln());
-            }
-            Op::Sqrt(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k].sqrt());
-            }
-            Op::Relu(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k].max(0.0));
-            }
-            Op::LeakyRelu(a, alpha) => {
-                let al = *alpha;
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| if av[k] >= 0.0 { av[k] } else { al * av[k] });
-            }
-            Op::Tanh(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| av[k].tanh());
-            }
-            Op::Sigmoid(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| 1.0 / (1.0 + (-av[k]).exp()));
-            }
-            Op::Gelu(a) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *a);
-                apply(out, |k| hiergat_tensor::gelu_scalar(av[k]));
-            }
-            Op::LayerNorm { x, gamma, beta, eps } => {
-                let eps = *eps;
-                {
-                    let xs = value_slice_in(arena, plan, tape, store, *x);
-                    row_moments_into(xs, &mut moments[..2 * yr], yr, yc);
-                }
-                let sb = &*moments;
-                let (out, rd) = arena.view_mut(w).split();
-                let xs = value_slice(rd, plan, tape, store, *x);
-                let gs = value_slice(rd, plan, tape, store, *gamma);
-                let bs = value_slice(rd, plan, tape, store, *beta);
-                apply(out, |k| {
-                    let r = k / yc;
-                    let j = k % yc;
-                    let m = sb[2 * r];
-                    let inv = 1.0 / (sb[2 * r + 1] + eps).sqrt();
-                    (xs[k] - m) * inv * gs[j] + bs[j]
-                });
-            }
-            Op::ConcatCols(parts) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let mut off = 0;
-                for &p in parts {
-                    let (_, pc) = shape_of(tape, p);
-                    let pv = value_slice(rd, plan, tape, store, p);
-                    for r in 0..yr {
-                        out[r * yc + off..r * yc + off + pc]
-                            .copy_from_slice(&pv[r * pc..(r + 1) * pc]);
-                    }
-                    off += pc;
-                }
-            }
-            Op::ConcatRows(parts) => {
-                let (out, rd) = arena.view_mut(w).split();
-                let mut off = 0;
-                for &p in parts {
-                    let (pr, pc) = shape_of(tape, p);
-                    let pv = value_slice(rd, plan, tape, store, p);
-                    out[off..off + pr * pc].copy_from_slice(pv);
-                    off += pr * pc;
-                }
-            }
-            Op::SliceCols { x, start, len } => {
-                let (start, len) = (*start, *len);
-                let (_, ac) = shape_of(tape, *x);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *x);
-                for r in 0..yr {
-                    out[r * len..(r + 1) * len]
-                        .copy_from_slice(&av[r * ac + start..r * ac + start + len]);
-                }
-            }
-            Op::SliceRows { x, start, .. } => {
-                let start = *start;
-                let (_, ac) = shape_of(tape, *x);
-                let (out, rd) = arena.view_mut(w).split();
-                let av = value_slice(rd, plan, tape, store, *x);
-                out.copy_from_slice(&av[start * ac..start * ac + yr * ac]);
-            }
-            Op::GatherRows { table, indices } => {
-                let (_, tc) = shape_of(tape, *table);
-                let (out, rd) = arena.view_mut(w).split();
-                let tv = value_slice(rd, plan, tape, store, *table);
-                for (r, &idx) in indices.iter().enumerate() {
-                    out[r * tc..(r + 1) * tc].copy_from_slice(&tv[idx * tc..(idx + 1) * tc]);
-                }
-            }
+        if matches!(
+            op,
             Op::Dropout { .. }
-            | Op::CrossEntropyLogits { .. }
-            | Op::WeightedCrossEntropyLogits { .. }
-            | Op::BceWithLogits { .. }
-            | Op::MseLoss { .. } => {
-                panic!("arena executor: {} is a training op; train on an eager tape", op.name())
-            }
+                | Op::CrossEntropyLogits { .. }
+                | Op::WeightedCrossEntropyLogits { .. }
+                | Op::BceWithLogits { .. }
+                | Op::MseLoss { .. }
+        ) {
+            panic!("arena executor: {} is a training op; train on an eager tape", op.name());
         }
-        #[cfg(debug_assertions)]
-        if arena.read(w).iter().any(|v| !v.is_finite()) {
-            panic!("arena op #{i} ({}) produced non-finite values", op.name());
-        }
+        let (out, rd) = arena.view_mut(plan.value_span[i]).split();
+        forward::eval(
+            i,
+            op,
+            tape.value(Var::from_index(i)).shape(),
+            out,
+            |v| value_slice(|s| rd.read(s), plan, tape, store, v),
+            |v| tape.value(v).shape(),
+            moments,
+        );
     }
 }
 
@@ -882,7 +592,7 @@ mod tests {
         t.softmax(logits)
     }
 
-    /// A graph covering the remaining forward arms: scalar reductions,
+    /// A graph covering the remaining forward ops: scalar reductions,
     /// pointwise nonlinearities, transpose/slice_rows/concat_rows and
     /// max/mul_col/add_col, ending at a scalar.
     fn record_mixed_graph(t: &mut Tape, w: Tensor, a: Tensor) -> Var {

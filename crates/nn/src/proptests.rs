@@ -250,6 +250,28 @@ fn apply_abs_terminal(
     }
 }
 
+/// Strategy: a tensor with dims in `[1, max_dim]` and values in [-10, 10].
+fn arb_tensor(max_dim: usize) -> impl Strategy<Value = Tensor> {
+    (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
+        proptest::collection::vec(-10.0f32..10.0, r * c)
+            .prop_map(move |data| Tensor::from_vec(r, c, data).expect("sized"))
+    })
+}
+
+proptest! {
+    /// ReLU through the shared forward kernel is idempotent and
+    /// non-negative.
+    #[test]
+    fn relu_is_idempotent(x in arb_tensor(6)) {
+        let mut t = Tape::new();
+        let x = t.input(x);
+        let r = t.relu(x);
+        let rr = t.relu(r);
+        prop_assert!(t.value(rr).allclose(t.value(r), 0.0));
+        prop_assert!(t.value(r).as_slice().iter().all(|&v| v >= 0.0));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

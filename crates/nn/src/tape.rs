@@ -16,6 +16,7 @@
 //! `gradcheck` test module.
 
 use crate::analyze::{self, ShapeViolation};
+use crate::forward;
 use crate::params::{ParamId, ParamStore};
 use hiergat_tensor::{gelu_grad_scalar, Tensor};
 use rand::Rng;
@@ -35,6 +36,7 @@ impl Var {
     }
 }
 
+#[derive(Clone)]
 pub(crate) enum Op {
     /// Constant input (no gradient flows past it).
     Input,
@@ -127,203 +129,148 @@ pub(crate) enum Op {
     },
 }
 
+/// Calls `$f` on each input operand of `$op`, in order. Expanded once over
+/// `&Op` (visit) and once over `&mut Op` (remap), so the two walks cannot
+/// disagree about an op's operands.
+macro_rules! walk_inputs {
+    ($op:expr, $f:ident) => {
+        match $op {
+            Op::Input | Op::Param(_) => {}
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Transpose(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SumRows(a)
+            | Op::SumCols(a)
+            | Op::MaxCols(a)
+            | Op::Softmax(a)
+            | Op::LogSoftmax(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Sqrt(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Gelu(a)
+            | Op::SliceCols { x: a, .. }
+            | Op::SliceRows { x: a, .. }
+            | Op::Dropout { x: a, .. }
+            | Op::GatherRows { table: a, .. }
+            | Op::CrossEntropyLogits { logits: a, .. }
+            | Op::WeightedCrossEntropyLogits { logits: a, .. }
+            | Op::BceWithLogits { logits: a, .. }
+            | Op::MseLoss { pred: a, .. } => $f(a),
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::AddRow(a, b)
+            | Op::AddCol(a, b)
+            | Op::MulCol(a, b)
+            | Op::Matmul(a, b)
+            | Op::MatmulNt(a, b)
+            | Op::MatmulTn(a, b) => {
+                $f(a);
+                $f(b);
+            }
+            Op::LayerNorm { x, gamma, beta, .. } => {
+                $f(x);
+                $f(gamma);
+                $f(beta);
+            }
+            Op::ConcatCols(parts) | Op::ConcatRows(parts) => {
+                for p in parts {
+                    $f(p);
+                }
+            }
+        }
+    };
+}
+
 impl Op {
-    /// Short stable name used in diagnostics.
-    pub(crate) fn name(&self) -> &'static str {
+    /// The op's `(tag, name)` — the one table both [`Self::tag`] and
+    /// [`Self::name`] read.
+    fn tag_and_name(&self) -> (u64, &'static str) {
         match self {
-            Self::Input => "input",
-            Self::Param(_) => "param",
-            Self::Add(..) => "add",
-            Self::Sub(..) => "sub",
-            Self::Mul(..) => "mul",
-            Self::Scale(..) => "scale",
-            Self::AddScalar(..) => "add_scalar",
-            Self::Div(..) => "div",
-            Self::AddRow(..) => "add_row",
-            Self::AddCol(..) => "add_col",
-            Self::MulCol(..) => "mul_col",
-            Self::Matmul(..) => "matmul",
-            Self::MatmulNt(..) => "matmul_nt",
-            Self::MatmulTn(..) => "matmul_tn",
-            Self::Transpose(_) => "transpose",
-            Self::SumAll(_) => "sum_all",
-            Self::MeanAll(_) => "mean_all",
-            Self::SumRows(_) => "sum_rows",
-            Self::SumCols(_) => "sum_cols",
-            Self::MaxCols(_) => "max_cols",
-            Self::Softmax(_) => "softmax",
-            Self::LogSoftmax(_) => "log_softmax",
-            Self::Exp(_) => "exp",
-            Self::Ln(_) => "ln",
-            Self::Sqrt(_) => "sqrt",
-            Self::Relu(_) => "relu",
-            Self::LeakyRelu(..) => "leaky_relu",
-            Self::Tanh(_) => "tanh",
-            Self::Sigmoid(_) => "sigmoid",
-            Self::Gelu(_) => "gelu",
-            Self::LayerNorm { .. } => "layer_norm",
-            Self::ConcatCols(_) => "concat_cols",
-            Self::ConcatRows(_) => "concat_rows",
-            Self::SliceCols { .. } => "slice_cols",
-            Self::SliceRows { .. } => "slice_rows",
-            Self::GatherRows { .. } => "gather_rows",
-            Self::Dropout { .. } => "dropout",
-            Self::CrossEntropyLogits { .. } => "cross_entropy_logits",
-            Self::WeightedCrossEntropyLogits { .. } => "weighted_cross_entropy_logits",
-            Self::BceWithLogits { .. } => "bce_with_logits",
-            Self::MseLoss { .. } => "mse_loss",
+            Self::Input => (0, "input"),
+            Self::Param(_) => (1, "param"),
+            Self::Add(..) => (2, "add"),
+            Self::Sub(..) => (3, "sub"),
+            Self::Mul(..) => (4, "mul"),
+            Self::Scale(..) => (5, "scale"),
+            Self::AddScalar(..) => (6, "add_scalar"),
+            Self::Div(..) => (7, "div"),
+            Self::AddRow(..) => (8, "add_row"),
+            Self::AddCol(..) => (9, "add_col"),
+            Self::MulCol(..) => (10, "mul_col"),
+            Self::Matmul(..) => (11, "matmul"),
+            Self::MatmulNt(..) => (12, "matmul_nt"),
+            Self::MatmulTn(..) => (13, "matmul_tn"),
+            Self::Transpose(_) => (14, "transpose"),
+            Self::SumAll(_) => (15, "sum_all"),
+            Self::MeanAll(_) => (16, "mean_all"),
+            Self::SumRows(_) => (17, "sum_rows"),
+            Self::SumCols(_) => (18, "sum_cols"),
+            Self::MaxCols(_) => (19, "max_cols"),
+            Self::Softmax(_) => (20, "softmax"),
+            Self::LogSoftmax(_) => (21, "log_softmax"),
+            Self::Exp(_) => (22, "exp"),
+            Self::Ln(_) => (23, "ln"),
+            Self::Sqrt(_) => (24, "sqrt"),
+            Self::Relu(_) => (25, "relu"),
+            Self::LeakyRelu(..) => (26, "leaky_relu"),
+            Self::Tanh(_) => (27, "tanh"),
+            Self::Sigmoid(_) => (28, "sigmoid"),
+            Self::Gelu(_) => (29, "gelu"),
+            Self::LayerNorm { .. } => (30, "layer_norm"),
+            Self::ConcatCols(_) => (31, "concat_cols"),
+            Self::ConcatRows(_) => (32, "concat_rows"),
+            Self::SliceCols { .. } => (33, "slice_cols"),
+            Self::SliceRows { .. } => (34, "slice_rows"),
+            Self::GatherRows { .. } => (35, "gather_rows"),
+            Self::Dropout { .. } => (36, "dropout"),
+            Self::CrossEntropyLogits { .. } => (37, "cross_entropy_logits"),
+            Self::WeightedCrossEntropyLogits { .. } => (38, "weighted_cross_entropy_logits"),
+            Self::BceWithLogits { .. } => (39, "bce_with_logits"),
+            Self::MseLoss { .. } => (40, "mse_loss"),
         }
     }
 
-    /// The upstream tape nodes this op reads (graph edges for reachability).
+    /// Short stable name used in diagnostics.
+    pub(crate) fn name(&self) -> &'static str {
+        self.tag_and_name().1
+    }
+
     /// Dense numeric variant tag for structural keys (CSE buckets, plan
     /// signatures) — variant identity without hashing the diagnostic name
-    /// on hot paths.
+    /// on hot paths. The values are part of those keys: never renumber.
     pub(crate) fn tag(&self) -> u64 {
-        match self {
-            Self::Input => 0,
-            Self::Param(_) => 1,
-            Self::Add(..) => 2,
-            Self::Sub(..) => 3,
-            Self::Mul(..) => 4,
-            Self::Scale(..) => 5,
-            Self::AddScalar(..) => 6,
-            Self::Div(..) => 7,
-            Self::AddRow(..) => 8,
-            Self::AddCol(..) => 9,
-            Self::MulCol(..) => 10,
-            Self::Matmul(..) => 11,
-            Self::MatmulNt(..) => 12,
-            Self::MatmulTn(..) => 13,
-            Self::Transpose(_) => 14,
-            Self::SumAll(_) => 15,
-            Self::MeanAll(_) => 16,
-            Self::SumRows(_) => 17,
-            Self::SumCols(_) => 18,
-            Self::MaxCols(_) => 19,
-            Self::Softmax(_) => 20,
-            Self::LogSoftmax(_) => 21,
-            Self::Exp(_) => 22,
-            Self::Ln(_) => 23,
-            Self::Sqrt(_) => 24,
-            Self::Relu(_) => 25,
-            Self::LeakyRelu(..) => 26,
-            Self::Tanh(_) => 27,
-            Self::Sigmoid(_) => 28,
-            Self::Gelu(_) => 29,
-            Self::LayerNorm { .. } => 30,
-            Self::ConcatCols(_) => 31,
-            Self::ConcatRows(_) => 32,
-            Self::SliceCols { .. } => 33,
-            Self::SliceRows { .. } => 34,
-            Self::GatherRows { .. } => 35,
-            Self::Dropout { .. } => 36,
-            Self::CrossEntropyLogits { .. } => 37,
-            Self::WeightedCrossEntropyLogits { .. } => 38,
-            Self::BceWithLogits { .. } => 39,
-            Self::MseLoss { .. } => 40,
-        }
+        self.tag_and_name().0
     }
 
     /// Calls `f` with each input operand in order — the allocation-free
     /// sibling of [`Self::inputs`] for per-node hot loops.
     pub(crate) fn for_each_input(&self, mut f: impl FnMut(Var)) {
-        match self {
-            Self::Input | Self::Param(_) => {}
-            Self::Scale(a, _)
-            | Self::AddScalar(a, _)
-            | Self::Transpose(a)
-            | Self::SumAll(a)
-            | Self::MeanAll(a)
-            | Self::SumRows(a)
-            | Self::SumCols(a)
-            | Self::MaxCols(a)
-            | Self::Softmax(a)
-            | Self::LogSoftmax(a)
-            | Self::Exp(a)
-            | Self::Ln(a)
-            | Self::Sqrt(a)
-            | Self::Relu(a)
-            | Self::LeakyRelu(a, _)
-            | Self::Tanh(a)
-            | Self::Sigmoid(a)
-            | Self::Gelu(a) => f(*a),
-            Self::Add(a, b)
-            | Self::Sub(a, b)
-            | Self::Mul(a, b)
-            | Self::Div(a, b)
-            | Self::AddRow(a, b)
-            | Self::AddCol(a, b)
-            | Self::MulCol(a, b)
-            | Self::Matmul(a, b)
-            | Self::MatmulNt(a, b)
-            | Self::MatmulTn(a, b) => {
-                f(*a);
-                f(*b);
-            }
-            Self::LayerNorm { x, gamma, beta, .. } => {
-                f(*x);
-                f(*gamma);
-                f(*beta);
-            }
-            Self::ConcatCols(parts) | Self::ConcatRows(parts) => {
-                for &p in parts {
-                    f(p);
-                }
-            }
-            Self::SliceCols { x, .. } | Self::SliceRows { x, .. } | Self::Dropout { x, .. } => {
-                f(*x);
-            }
-            Self::GatherRows { table, .. } => f(*table),
-            Self::CrossEntropyLogits { logits, .. }
-            | Self::WeightedCrossEntropyLogits { logits, .. }
-            | Self::BceWithLogits { logits, .. } => f(*logits),
-            Self::MseLoss { pred, .. } => f(*pred),
-        }
+        let mut visit = |v: &Var| f(*v);
+        walk_inputs!(self, visit);
     }
 
+    /// The upstream tape nodes this op reads (graph edges for reachability).
     pub(crate) fn inputs(&self) -> Vec<Var> {
-        match self {
-            Self::Input | Self::Param(_) => Vec::new(),
-            Self::Scale(a, _)
-            | Self::AddScalar(a, _)
-            | Self::Transpose(a)
-            | Self::SumAll(a)
-            | Self::MeanAll(a)
-            | Self::SumRows(a)
-            | Self::SumCols(a)
-            | Self::MaxCols(a)
-            | Self::Softmax(a)
-            | Self::LogSoftmax(a)
-            | Self::Exp(a)
-            | Self::Ln(a)
-            | Self::Sqrt(a)
-            | Self::Relu(a)
-            | Self::LeakyRelu(a, _)
-            | Self::Tanh(a)
-            | Self::Sigmoid(a)
-            | Self::Gelu(a) => vec![*a],
-            Self::Add(a, b)
-            | Self::Sub(a, b)
-            | Self::Mul(a, b)
-            | Self::Div(a, b)
-            | Self::AddRow(a, b)
-            | Self::AddCol(a, b)
-            | Self::MulCol(a, b)
-            | Self::Matmul(a, b)
-            | Self::MatmulNt(a, b)
-            | Self::MatmulTn(a, b) => vec![*a, *b],
-            Self::LayerNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
-            Self::ConcatCols(parts) | Self::ConcatRows(parts) => parts.clone(),
-            Self::SliceCols { x, .. } | Self::SliceRows { x, .. } | Self::Dropout { x, .. } => {
-                vec![*x]
-            }
-            Self::GatherRows { table, .. } => vec![*table],
-            Self::CrossEntropyLogits { logits, .. }
-            | Self::WeightedCrossEntropyLogits { logits, .. }
-            | Self::BceWithLogits { logits, .. } => vec![*logits],
-            Self::MseLoss { pred, .. } => vec![*pred],
-        }
+        let mut out = Vec::new();
+        self.for_each_input(|v| out.push(v));
+        out
+    }
+
+    /// This op with every input operand replaced by `f(operand)`; payloads
+    /// (constants, indices, masks, targets) are copied unchanged.
+    pub(crate) fn map_inputs(&self, f: impl Fn(Var) -> Var) -> Op {
+        let mut op = self.clone();
+        let remap = |v: &mut Var| *v = f(*v);
+        walk_inputs!(&mut op, remap);
+        op
     }
 }
 
@@ -547,56 +494,53 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        #[cfg(debug_assertions)]
-        if !matches!(op, Op::Input | Op::Param(_)) && value.has_non_finite() {
-            panic!(
-                "tape op #{} ({}) produced non-finite values; \
-                 run hiergat_nn::analyze::finite_audit on the tape for a report",
-                self.nodes.len(),
-                op.name()
-            );
-        }
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
     }
 
-    /// Shape-only recording: infer the output shape, log any violation, and
-    /// push a zero placeholder so downstream ops still see a shape.
-    fn push_inferred(&mut self, op: Op) -> Var {
+    /// Records `op`. Its output shape comes from
+    /// [`analyze::infer_shape`], the one shape rule every recording mode
+    /// shares. Then, by mode:
+    /// - **eager**: the shared forward kernel ([`crate::forward::eval`])
+    ///   computes the value now;
+    /// - **inference**: a storage-free placeholder of the exact shape; the
+    ///   arena executor computes the value later with the same kernel;
+    /// - **shape-only**: a zero placeholder (degenerate dims clamped to 1)
+    ///   so downstream ops still see a shape.
+    ///
+    /// # Panics
+    /// A shape violation panics on eager and inference tapes (an invalid
+    /// graph can be neither evaluated nor planned); shape-only tapes
+    /// collect it (see [`Self::shape_violations`]) and keep recording.
+    pub(crate) fn record(&mut self, op: Op) -> Var {
         let ((rows, cols), violation) = analyze::infer_shape(self, &op);
+        let index = self.nodes.len();
         if let Some(message) = violation {
-            self.violations.push(ShapeViolation {
-                op_index: self.nodes.len(),
-                op_name: op.name(),
-                message,
-            });
+            assert!(
+                self.shape_only,
+                "{} tape op #{index} ({}): {message}",
+                if self.inference { "deferred" } else { "eager" },
+                op.name()
+            );
+            self.violations.push(ShapeViolation { op_index: index, op_name: op.name(), message });
         }
-        self.nodes.push(Node { value: Tensor::zeros(rows.max(1), cols.max(1)), op });
-        Var(self.nodes.len() - 1)
-    }
-
-    /// Deferred recording: infer the exact output shape and push a
-    /// storage-free placeholder. A shape violation is a hard error here — an
-    /// invalid graph cannot be planned, so there is no best-effort fallback.
-    fn push_deferred(&mut self, op: Op) -> Var {
-        let ((rows, cols), violation) = analyze::infer_shape(self, &op);
-        if let Some(message) = violation {
-            panic!("deferred tape op #{} ({}): {message}", self.nodes.len(), op.name());
-        }
-        self.nodes.push(Node { value: Tensor::placeholder(rows, cols), op });
-        Var(self.nodes.len() - 1)
-    }
-
-    /// Records `op`, computing its value with `eager` unless this is a
-    /// shape-only or inference tape.
-    fn record(&mut self, op: Op, eager: impl FnOnce(&Self) -> Tensor) -> Var {
-        if self.shape_only {
-            return self.push_inferred(op);
-        }
-        if self.inference {
-            return self.push_deferred(op);
-        }
-        let value = eager(self);
+        let value = if self.shape_only {
+            Tensor::zeros(rows.max(1), cols.max(1))
+        } else if self.inference {
+            Tensor::placeholder(rows, cols)
+        } else {
+            let mut value = Tensor::zeros(rows, cols);
+            forward::eval(
+                index,
+                &op,
+                (rows, cols),
+                value.as_mut_slice(),
+                |v| self.value(v).as_slice(),
+                |v| self.value(v).shape(),
+                &mut Vec::new(),
+            );
+            value
+        };
         self.push(value, op)
     }
 
@@ -627,48 +571,48 @@ impl Tape {
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Add(a, b), |t| t.value(a).add(t.value(b)))
+        self.record(Op::Add(a, b))
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Sub(a, b), |t| t.value(a).sub(t.value(b)))
+        self.record(Op::Sub(a, b))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Mul(a, b), |t| t.value(a).mul(t.value(b)))
+        self.record(Op::Mul(a, b))
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: Var, k: f32) -> Var {
-        self.record(Op::Scale(a, k), |t| t.value(a).scale(k))
+        self.record(Op::Scale(a, k))
     }
 
     /// Adds a constant to every element.
     pub fn add_scalar(&mut self, a: Var, k: f32) -> Var {
-        self.record(Op::AddScalar(a, k), |t| t.value(a).add_scalar(k))
+        self.record(Op::AddScalar(a, k))
     }
 
     /// Elementwise quotient `a / b`.
     pub fn div(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Div(a, b), |t| t.value(a).div(t.value(b)))
+        self.record(Op::Div(a, b))
     }
 
     /// Elementwise `e^x`. Overflows for unbounded inputs — subtract the row
     /// max first ([`Self::max_cols`]) or the `naked-exp` lint will flag it.
     pub fn exp(&mut self, a: Var) -> Var {
-        self.record(Op::Exp(a), |t| t.value(a).exp())
+        self.record(Op::Exp(a))
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&mut self, a: Var) -> Var {
-        self.record(Op::Ln(a), |t| t.value(a).ln())
+        self.record(Op::Ln(a))
     }
 
     /// Elementwise square root.
     pub fn sqrt(&mut self, a: Var) -> Var {
-        self.record(Op::Sqrt(a), |t| t.value(a).sqrt())
+        self.record(Op::Sqrt(a))
     }
 
     /// `1 - a`, elementwise (GRU gating convenience).
@@ -679,59 +623,59 @@ impl Tape {
 
     /// Broadcast-adds a `1 x c` row vector to each row of `a`.
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        self.record(Op::AddRow(a, row), |t| t.value(a).add_row_broadcast(t.value(row)))
+        self.record(Op::AddRow(a, row))
     }
 
     /// Broadcast-adds an `r x 1` column vector to each column of `a`.
     pub fn add_col(&mut self, a: Var, col: Var) -> Var {
-        self.record(Op::AddCol(a, col), |t| t.value(a).add_col_broadcast(t.value(col)))
+        self.record(Op::AddCol(a, col))
     }
 
     /// Scales row `i` of `a` by `col[i]` (attention-weighted rows).
     pub fn mul_col(&mut self, a: Var, col: Var) -> Var {
-        self.record(Op::MulCol(a, col), |t| t.value(a).mul_col_broadcast(t.value(col)))
+        self.record(Op::MulCol(a, col))
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Matmul(a, b), |t| t.value(a).matmul(t.value(b)))
+        self.record(Op::Matmul(a, b))
     }
 
     /// `a (r x k) * b^T (c x k) -> r x c` without materializing the
     /// transpose — the attention-scoring hot path (`Q K^T`).
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::MatmulNt(a, b), |t| t.value(a).matmul_nt(t.value(b)))
+        self.record(Op::MatmulNt(a, b))
     }
 
     /// `a^T (k x r) * b (k x c) -> r x c` without materializing the
     /// transpose — attention context pooling (`alpha^T V`).
     pub fn matmul_tn(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::MatmulTn(a, b), |t| t.value(a).matmul_tn(t.value(b)))
+        self.record(Op::MatmulTn(a, b))
     }
 
     /// Matrix transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
-        self.record(Op::Transpose(a), |t| t.value(a).transpose())
+        self.record(Op::Transpose(a))
     }
 
     /// Sum of all elements (`1 x 1`).
     pub fn sum_all(&mut self, a: Var) -> Var {
-        self.record(Op::SumAll(a), |t| Tensor::scalar(t.value(a).sum()))
+        self.record(Op::SumAll(a))
     }
 
     /// Mean of all elements (`1 x 1`).
     pub fn mean_all(&mut self, a: Var) -> Var {
-        self.record(Op::MeanAll(a), |t| Tensor::scalar(t.value(a).mean()))
+        self.record(Op::MeanAll(a))
     }
 
     /// Sums over rows, producing a `1 x c` vector.
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        self.record(Op::SumRows(a), |t| t.value(a).sum_rows())
+        self.record(Op::SumRows(a))
     }
 
     /// Sums over columns, producing an `r x 1` vector.
     pub fn sum_cols(&mut self, a: Var) -> Var {
-        self.record(Op::SumCols(a), |t| t.value(a).sum_cols())
+        self.record(Op::SumCols(a))
     }
 
     /// Mean over rows (`1 x c`).
@@ -743,88 +687,68 @@ impl Tape {
 
     /// Per-row maximum (`r x 1`), the softmax/log-sum-exp stabilizer.
     pub fn max_cols(&mut self, a: Var) -> Var {
-        self.record(Op::MaxCols(a), |t| t.value(a).max_cols())
+        self.record(Op::MaxCols(a))
     }
 
     /// Row-wise softmax.
     pub fn softmax(&mut self, a: Var) -> Var {
-        self.record(Op::Softmax(a), |t| t.value(a).softmax_rows())
+        self.record(Op::Softmax(a))
     }
 
     /// Fused row-wise log-softmax (use instead of `ln(softmax(x))`).
     pub fn log_softmax(&mut self, a: Var) -> Var {
-        self.record(Op::LogSoftmax(a), |t| t.value(a).log_softmax_rows())
+        self.record(Op::LogSoftmax(a))
     }
 
     /// ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
-        self.record(Op::Relu(a), |t| t.value(a).relu())
+        self.record(Op::Relu(a))
     }
 
     /// Leaky ReLU with slope `alpha`.
     pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        self.record(Op::LeakyRelu(a, alpha), |t| t.value(a).leaky_relu(alpha))
+        self.record(Op::LeakyRelu(a, alpha))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        self.record(Op::Tanh(a), |t| t.value(a).tanh())
+        self.record(Op::Tanh(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.record(Op::Sigmoid(a), |t| t.value(a).sigmoid())
+        self.record(Op::Sigmoid(a))
     }
 
     /// GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
-        self.record(Op::Gelu(a), |t| t.value(a).gelu())
+        self.record(Op::Gelu(a))
     }
 
     /// Fused layer normalization over each row, with learnable `gamma`/`beta`
     /// (`1 x c` parameters).
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        self.record(Op::LayerNorm { x, gamma, beta, eps }, |t| {
-            let xv = t.value(x);
-            let (mean, var) = xv.row_moments();
-            let mut out = xv.clone();
-            let g = t.value(gamma);
-            let b = t.value(beta);
-            for i in 0..out.rows() {
-                let m = mean.get(i, 0);
-                let inv = 1.0 / (var.get(i, 0) + eps).sqrt();
-                for (j, v) in out.row_mut(i).iter_mut().enumerate() {
-                    *v = (*v - m) * inv * g.get(0, j) + b.get(0, j);
-                }
-            }
-            out
-        })
+        self.record(Op::LayerNorm { x, gamma, beta, eps })
     }
 
     /// Horizontal concatenation.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        self.record(Op::ConcatCols(parts.to_vec()), |t| {
-            let tensors: Vec<&Tensor> = parts.iter().map(|&p| t.value(p)).collect();
-            Tensor::concat_cols(&tensors)
-        })
+        self.record(Op::ConcatCols(parts.to_vec()))
     }
 
     /// Vertical concatenation.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        self.record(Op::ConcatRows(parts.to_vec()), |t| {
-            let tensors: Vec<&Tensor> = parts.iter().map(|&p| t.value(p)).collect();
-            Tensor::concat_rows(&tensors)
-        })
+        self.record(Op::ConcatRows(parts.to_vec()))
     }
 
     /// Copies columns `[start, start + len)`.
     pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        self.record(Op::SliceCols { x, start, len }, |t| t.value(x).slice_cols(start, len))
+        self.record(Op::SliceCols { x, start, len })
     }
 
     /// Copies rows `[start, start + len)`.
     pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        self.record(Op::SliceRows { x, start, len }, |t| t.value(x).slice_rows(start, len))
+        self.record(Op::SliceRows { x, start, len })
     }
 
     /// Row `r` of `x` as a `1 x c` vector.
@@ -834,9 +758,7 @@ impl Tape {
 
     /// Embedding lookup: `out[i] = table[indices[i]]`.
     pub fn gather_rows(&mut self, table: Var, indices: &[usize]) -> Var {
-        self.record(Op::GatherRows { table, indices: indices.to_vec() }, |t| {
-            t.value(table).gather_rows(indices)
-        })
+        self.record(Op::GatherRows { table, indices: indices.to_vec() })
     }
 
     /// Inverted dropout. Identity when `train` is false or `p == 0`, and
@@ -849,42 +771,23 @@ impl Tape {
         if self.shape_only {
             // No mask is sampled: shape analysis must not consume the RNG
             // stream or run kernels.
-            return self.push_inferred(Op::Dropout { x, mask: Tensor::zeros(1, 1) });
+            return self.record(Op::Dropout { x, mask: Tensor::zeros(1, 1) });
         }
         assert!(p < 1.0, "dropout: p must be < 1");
         let keep = 1.0 - p;
-        let xv = self.value(x);
-        let mut mask = Tensor::zeros(xv.rows(), xv.cols());
+        let (rows, cols) = self.value(x).shape();
+        let mut mask = Tensor::zeros(rows, cols);
         for m in mask.as_mut_slice() {
             if rng.gen::<f32>() < keep {
                 *m = 1.0 / keep;
             }
         }
-        let v = xv.mul(&mask);
-        self.push(v, Op::Dropout { x, mask })
-    }
-
-    /// Re-records a dropout node with an already-sampled `mask` (no RNG is
-    /// consumed). The rewrite engine uses this to carry a surviving dropout
-    /// node — mask and all — onto an optimised tape bitwise-unchanged.
-    pub(crate) fn dropout_with_mask(&mut self, x: Var, mask: Tensor) -> Var {
-        self.record(Op::Dropout { x, mask: mask.clone() }, |t| t.value(x).mul(&mask))
+        self.record(Op::Dropout { x, mask })
     }
 
     /// Mean cross-entropy of row-wise logits against class indices.
     pub fn cross_entropy_logits(&mut self, logits: Var, targets: &[usize]) -> Var {
-        self.record(Op::CrossEntropyLogits { logits, targets: targets.to_vec() }, |t| {
-            let lv = t.value(logits);
-            assert_eq!(lv.rows(), targets.len(), "cross_entropy: target count mismatch");
-            let log_probs = lv.log_softmax_rows();
-            let mut loss = 0.0;
-            for (i, &tc) in targets.iter().enumerate() {
-                assert!(tc < lv.cols(), "cross_entropy: class {tc} out of range");
-                loss -= log_probs.get(i, tc);
-            }
-            loss /= targets.len() as f32;
-            Tensor::scalar(loss)
-        })
+        self.record(Op::CrossEntropyLogits { logits, targets: targets.to_vec() })
     }
 
     /// Weighted cross-entropy: per-row weights, normalized by the weight
@@ -896,54 +799,21 @@ impl Tape {
         targets: &[usize],
         weights: &[f32],
     ) -> Var {
-        let op = Op::WeightedCrossEntropyLogits {
+        self.record(Op::WeightedCrossEntropyLogits {
             logits,
             targets: targets.to_vec(),
             weights: weights.to_vec(),
-        };
-        self.record(op, |t| {
-            let lv = t.value(logits);
-            assert_eq!(lv.rows(), targets.len(), "wce: target count mismatch");
-            assert_eq!(targets.len(), weights.len(), "wce: weight count mismatch");
-            let w_sum: f32 = weights.iter().sum();
-            assert!(w_sum > 0.0, "wce: weights must be positive");
-            let log_probs = lv.log_softmax_rows();
-            let mut loss = 0.0;
-            for (i, (&tc, &w)) in targets.iter().zip(weights).enumerate() {
-                assert!(tc < lv.cols(), "wce: class {tc} out of range");
-                loss -= w * log_probs.get(i, tc);
-            }
-            loss /= w_sum;
-            Tensor::scalar(loss)
         })
     }
 
     /// Mean binary cross-entropy with logits (`r x 1` logits, `targets` in `[0,1]`).
     pub fn bce_with_logits(&mut self, logits: Var, targets: &[f32]) -> Var {
-        self.record(Op::BceWithLogits { logits, targets: targets.to_vec() }, |t| {
-            let lv = t.value(logits);
-            assert_eq!(lv.cols(), 1, "bce: logits must be a column vector");
-            assert_eq!(lv.rows(), targets.len(), "bce: target count mismatch");
-            let mut loss = 0.0;
-            for (i, &y) in targets.iter().enumerate() {
-                let z = lv.get(i, 0);
-                // Numerically stable: max(z,0) - z*y + ln(1 + e^{-|z|}).
-                loss += z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln();
-            }
-            loss /= targets.len() as f32;
-            Tensor::scalar(loss)
-        })
+        self.record(Op::BceWithLogits { logits, targets: targets.to_vec() })
     }
 
     /// Mean squared error against a constant target.
     pub fn mse_loss(&mut self, pred: Var, target: &Tensor) -> Var {
-        self.record(Op::MseLoss { pred, target: target.clone() }, |t| {
-            let pv = t.value(pred);
-            assert_eq!(pv.shape(), target.shape(), "mse: shape mismatch");
-            let diff = pv.sub(target);
-            let loss = diff.as_slice().iter().map(|d| d * d).sum::<f32>() / pv.len() as f32;
-            Tensor::scalar(loss)
-        })
+        self.record(Op::MseLoss { pred, target: target.clone() })
     }
 
     /// Runs reverse-mode differentiation from the scalar `loss` node,
@@ -1509,7 +1379,7 @@ mod tests {
 
         let mut t2 = Tape::new();
         let x2 = t2.input(Tensor::ones(3, 4));
-        let y2 = t2.dropout_with_mask(x2, mask);
+        let y2 = t2.record(Op::Dropout { x: x2, mask });
         for (a, b) in t.value(y).as_slice().iter().zip(t2.value(y2).as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

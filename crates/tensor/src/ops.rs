@@ -476,51 +476,6 @@ impl Tensor {
         parallel::with_threads(1, || self.log_softmax_rows())
     }
 
-    /// ReLU nonlinearity.
-    pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
-    }
-
-    /// Leaky ReLU with negative slope `alpha` (the HHG graph attention in the
-    /// paper uses `alpha = 0.2`, the GAT default).
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        self.map(|v| if v >= 0.0 { v } else { alpha * v })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        self.map(|v| 1.0 / (1.0 + (-v).exp()))
-    }
-
-    /// GELU (tanh approximation), the Transformer feed-forward activation.
-    pub fn gelu(&self) -> Tensor {
-        self.map(gelu_scalar)
-    }
-
-    /// Elementwise natural exponential.
-    ///
-    /// Unbounded inputs overflow to `+inf` around `x > 88.7` in `f32`; the
-    /// tape-level lint (`naked-exp`) exists to catch graphs that reach this
-    /// kernel without a max-subtraction or an otherwise bounded input.
-    pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
-    }
-
-    /// Elementwise natural logarithm (`-inf` at 0, NaN below).
-    pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
-    }
-
-    /// Elementwise square root (NaN below 0).
-    pub fn sqrt(&self) -> Tensor {
-        self.map(f32::sqrt)
-    }
-
     /// Clamps every element into `[lo, hi]`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
         self.map(|v| v.clamp(lo, hi))
@@ -659,16 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn activations() {
-        let a = Tensor::row_vector(&[-2.0, 0.0, 2.0]);
-        assert_eq!(a.relu().as_slice(), &[0.0, 0.0, 2.0]);
-        assert_eq!(a.leaky_relu(0.1).as_slice(), &[-0.2, 0.0, 2.0]);
-        let s = a.sigmoid();
-        assert!((s.get(0, 1) - 0.5).abs() < 1e-6);
-        assert!(s.get(0, 0) < 0.5 && s.get(0, 2) > 0.5);
-    }
-
-    #[test]
     fn gelu_matches_reference_points() {
         // Reference values from the tanh approximation.
         assert!((gelu_scalar(0.0)).abs() < 1e-6);
@@ -687,16 +632,6 @@ mod tests {
                 gelu_grad_scalar(x)
             );
         }
-    }
-
-    #[test]
-    fn exp_ln_sqrt_elementwise() {
-        let a = Tensor::row_vector(&[0.0, 1.0, 4.0]);
-        assert_eq!(a.exp().as_slice(), &[1.0, 1.0f32.exp(), 4.0f32.exp()]);
-        assert_eq!(a.sqrt().as_slice(), &[0.0, 1.0, 2.0]);
-        let e = a.exp().ln();
-        assert!(e.allclose(&a, 1e-6), "ln(exp(x)) must round-trip");
-        assert_eq!(Tensor::row_vector(&[0.0]).ln().get(0, 0), f32::NEG_INFINITY);
     }
 
     #[test]

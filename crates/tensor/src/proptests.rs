@@ -198,13 +198,6 @@ proptest! {
     }
 
     #[test]
-    fn relu_is_idempotent(t in arb_tensor(6)) {
-        let r = t.relu();
-        prop_assert!(r.relu().allclose(&r, 0.0));
-        prop_assert!(r.as_slice().iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
     fn parallel_matmul_family_is_bitwise_serial((a, b) in arb_wide_matmul_pair()) {
         let mm_ref = a.matmul_serial(&b);
         let at = a.transpose();

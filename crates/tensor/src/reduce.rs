@@ -90,22 +90,6 @@ impl Tensor {
         self.as_slice().iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Per-row maximum, as a `rows x 1` column vector (the stabilizer for
-    /// row-wise `exp`: `exp(x - max_cols(x))` cannot overflow).
-    ///
-    /// # Panics
-    /// Panics on tensors with no columns (a row without elements has no
-    /// maximum).
-    pub fn max_cols(&self) -> Tensor {
-        assert!(self.cols() > 0, "max_cols: tensor has no columns");
-        let mut out = Tensor::zeros(self.rows(), 1);
-        for i in 0..self.rows() {
-            let m = self.row(i).iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            out.set(i, 0, m);
-        }
-        out
-    }
-
     /// Per-row mean and (biased) variance; returned as two `rows x 1` vectors.
     ///
     /// Used by the fused layer-norm forward/backward in `hiergat-nn`. Large
@@ -166,19 +150,6 @@ mod tests {
     fn min_max() {
         assert_eq!(t().max(), 6.0);
         assert_eq!(t().min(), 1.0);
-    }
-
-    #[test]
-    fn max_cols_per_row() {
-        let m = t().max_cols();
-        assert_eq!(m.shape(), (2, 1));
-        assert_eq!(m.as_slice(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no columns")]
-    fn max_cols_panics_on_zero_width() {
-        Tensor::zeros(2, 0).max_cols();
     }
 
     #[test]
