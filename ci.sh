@@ -151,6 +151,13 @@ HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test absint_containment
 echo "==> HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --test absint_containment"
 HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --test absint_containment
 
+# Static-analyzer gate: every builtin model's training graph, recorded on a
+# deferred tape, must analyze clean (no shape violation, dead parameter,
+# unused node or input-graph issue); the command exits non-zero otherwise.
+echo "==> hiergat analyze"
+./target/release/hiergat analyze \
+  --dataset fodors-zagats --scale 0.2 --tier dbert
+
 # Lint gate: every builtin model graph must pass the rule engine with
 # warnings denied, and the kernel write-disjointness race audit must
 # verify under both pool widths (the audit itself also sweeps widths

@@ -141,22 +141,22 @@ impl Ditto {
         self.ps.num_scalars()
     }
 
-    /// Statically analyzes the training graph for `pair` on a shape-only
+    /// Statically analyzes the training graph for `pair` on a deferred
     /// tape (no kernels run): shape inference, parameter reachability, and
     /// node liveness.
     pub fn analyze(&self, pair: &EntityPair) -> hiergat_nn::GraphReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x51);
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let logits = self.forward_rng(&mut t, pair, true, &mut rng);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::analyze_graph(&t, loss, &self.ps)
     }
 
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the training
-    /// graph (shape-only tape, training mode).
+    /// graph (deferred tape, training mode).
     pub fn lint(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x51);
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let logits = self.forward_rng(&mut t, pair, true, &mut rng);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::lint_graph(&t, loss, &self.ps, &hiergat_nn::LintConfig::training())

@@ -114,20 +114,20 @@ impl DmPlus {
         self.cls_out.forward(t, &self.ps, h)
     }
 
-    /// Statically analyzes the training graph for `pair` on a shape-only
+    /// Statically analyzes the training graph for `pair` on a deferred
     /// tape (no kernels run): shape inference, parameter reachability, and
     /// node liveness.
     pub fn analyze(&self, pair: &EntityPair) -> hiergat_nn::GraphReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let logits = self.forward(&mut t, pair);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::analyze_graph(&t, loss, &self.ps)
     }
 
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the training
-    /// graph (shape-only tape, training mode).
+    /// graph (deferred tape, training mode).
     pub fn lint(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let logits = self.forward(&mut t, pair);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::lint_graph(&t, loss, &self.ps, &hiergat_nn::LintConfig::training())

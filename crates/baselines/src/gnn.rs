@@ -216,11 +216,11 @@ impl GnnCollective {
         t.concat_rows(&rows)
     }
 
-    /// Statically analyzes the training graph for `ex` on a shape-only tape
+    /// Statically analyzes the training graph for `ex` on a deferred tape
     /// (no kernels run): shape inference, parameter reachability, node
     /// liveness, plus HHG builder validation.
     pub fn analyze(&self, ex: &CollectiveExample) -> hiergat_nn::GraphReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let logits = self.forward(&mut t, ex);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights = vec![1.0; targets.len()];
@@ -234,9 +234,9 @@ impl GnnCollective {
     }
 
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the training
-    /// graph (shape-only tape, training mode).
+    /// graph (deferred tape, training mode).
     pub fn lint(&self, ex: &CollectiveExample) -> hiergat_nn::LintReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let logits = self.forward(&mut t, ex);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights = vec![1.0; targets.len()];

@@ -349,7 +349,8 @@ mod tests {
         let wpc = ctx.wpc(&mut t, &ps, &g, &lm, &cfg, false, &mut rng);
         // Must equal the raw hash-embedding lookup.
         let ids: Vec<usize> = g.tokens.iter().map(|tok| lm.vocab().id(tok)).collect();
-        let expected = ps.value(lm.token_embedding()).gather_rows(&ids);
+        let table = ps.value(lm.token_embedding());
+        let expected = Tensor::stack_rows(ids.len(), table.cols(), |i| table.row(ids[i]).to_vec());
         assert!(t.value(wpc).allclose(&expected, 1e-6));
     }
 

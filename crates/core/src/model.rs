@@ -327,11 +327,11 @@ impl HierGat {
     }
 
     /// Statically analyzes the pairwise training graph: records the forward
-    /// pass and loss on a shape-only tape (no kernels execute) and runs
+    /// pass and loss on a deferred tape (no kernels execute) and runs
     /// shape inference, dead-gradient, and sentinel passes over it. Also
     /// surfaces HHG builder-invariant violations as shape violations.
     pub fn analyze_pair(&self, pair: &EntityPair) -> hiergat_nn::GraphReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let logits = self.forward_pair_rng(&mut t, pair, true, &mut rng);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
@@ -342,7 +342,7 @@ impl HierGat {
 
     /// Collective-mode counterpart of [`Self::analyze_pair`].
     pub fn analyze_collective(&self, ex: &CollectiveExample) -> hiergat_nn::GraphReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let logits = self.forward_collective_rng(&mut t, ex, true, &mut rng);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
@@ -357,9 +357,9 @@ impl HierGat {
     }
 
     /// Runs the [`hiergat_nn::lint_graph`] rule engine over the pairwise
-    /// training graph (shape-only tape, training mode: dropout is expected).
+    /// training graph (deferred tape, training mode: dropout is expected).
     pub fn lint_pair(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let logits = self.forward_pair_rng(&mut t, pair, true, &mut rng);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
@@ -368,7 +368,7 @@ impl HierGat {
 
     /// Collective-mode counterpart of [`Self::lint_pair`].
     pub fn lint_collective(&self, ex: &CollectiveExample) -> hiergat_nn::LintReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let logits = self.forward_collective_rng(&mut t, ex, true, &mut rng);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
@@ -426,6 +426,30 @@ mod tests {
         let m = HierGat::new(HierGatConfig::fast_test(), 2);
         let p = m.predict_pair(&pair(true));
         assert!((0.0..=1.0).contains(&p), "probability {p}");
+    }
+
+    #[test]
+    fn deferred_training_graph_holds_storage_only_for_input_leaves() {
+        let m = HierGat::new(HierGatConfig::fast_test(), 2);
+        let ex = pair(true);
+        let record = |t: &mut Tape| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let logits = m.forward_pair_rng(t, &ex, true, &mut rng);
+            t.weighted_cross_entropy_logits(logits, &[1], &[1.0]);
+        };
+        let (mut t, mut eager) = (Tape::inference(), Tape::new());
+        record(&mut t);
+        record(&mut eager);
+        assert!(t.shape_violations().is_empty());
+        assert!((0..t.len()).any(|i| t.op_name(i) == "dropout"), "training dropout recorded");
+        // The eager training graph node for node, with storage only in inputs.
+        assert_eq!(t.len(), eager.len());
+        for i in 0..t.len() {
+            assert_eq!(t.op_name(i), eager.op_name(i));
+            assert_eq!(t.node_value(i).shape(), eager.node_value(i).shape());
+            let input = t.op_name(i) == "input";
+            assert_eq!(t.node_value(i).is_empty(), !input, "op #{i} ({})", t.op_name(i));
+        }
     }
 
     #[test]

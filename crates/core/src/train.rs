@@ -45,7 +45,7 @@ pub fn score_pairs(model: &HierGat, pairs: &[EntityPair]) -> (Vec<f32>, Vec<bool
 }
 
 /// Pre-flight static analysis: records one training example's graph in
-/// shape-only mode and reports wiring problems (shape violations, dead
+/// deferred mode and reports wiring problems (shape violations, dead
 /// parameters, unused nodes) to stderr before any kernel runs. Also prints
 /// the analyzer's per-example cost budget (forward FLOPs, share eligible
 /// for the thread pool, peak live bytes) so epoch-time surprises surface

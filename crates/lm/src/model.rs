@@ -185,7 +185,7 @@ impl MiniLm {
     }
 
     /// Analyzer cost budget for encoding a `seq_len`-token sequence: records
-    /// the forward pass on a shape-only tape (no kernels run) and returns the
+    /// the forward pass on a deferred tape (no kernels run) and returns the
     /// per-op FLOP and peak-memory estimates evaluated at `split` threads.
     /// This is what lets callers pick a tier that fits their time budget
     /// before paying for a real forward.
@@ -195,7 +195,7 @@ impl MiniLm {
         seq_len: usize,
         split: usize,
     ) -> hiergat_nn::CostReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let ids = vec![0usize; seq_len.clamp(1, self.config.max_len)];
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         let _ = self.encode_ids(&mut t, ps, &ids, false, &mut rng);
@@ -207,7 +207,7 @@ impl MiniLm {
     /// scalar loss, so the mean of the contextual embeddings serves as a
     /// pseudo-loss that makes every encoder op gradient-reachable.
     pub fn lint_encoding(&self, ps: &ParamStore, seq_len: usize) -> hiergat_nn::LintReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let ids = vec![0usize; seq_len.clamp(1, self.config.max_len)];
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         let h = self.encode_ids(&mut t, ps, &ids, true, &mut rng);

@@ -15,9 +15,14 @@
 //! The per-op soundness proptest and the whole-model containment test
 //! (`tests/absint_containment.rs`) pin this discipline down empirically.
 //!
+//! The pass reads only shapes, `Input` leaf values and the store, so it
+//! runs on deferred tapes ([`Tape::inference`]) whose other nodes are
+//! storage-free placeholders: term counts come from shapes, never from a
+//! value's length.
+//!
 //! Two seeding modes cover the two audit questions ([`AbsintConfig`]):
-//! symbolic boxes (`inputs in [-B, B]` — what a shape-only tape can
-//! promise) and *observed* seeds that read concrete per-tensor min/max
+//! symbolic boxes (`inputs in [-B, B]`: proofs that hold for every input in
+//! the box) and *observed* seeds that read concrete per-tensor min/max
 //! from the recorded input values and the [`ParamStore`] — point a
 //! checkpoint's store at the pass and the proofs are weight-aware.
 //!
@@ -478,12 +483,14 @@ fn propagate_state(tape: &Tape, ps: &ParamStore, cfg: &AbsintConfig) -> AbsState
             }
             Op::SumAll(a) => {
                 let x = g(a);
-                let k = tape.value(*a).len().max(1);
+                let (r, c) = tape.value(*a).shape();
+                let k = (r * c).max(1);
                 seal_accum(x.lo, x.hi, k, x.finite, x.nan_free && x.finite)
             }
             Op::MeanAll(a) => {
                 let x = g(a);
-                let k = tape.value(*a).len().max(1);
+                let (r, c) = tape.value(*a).shape();
+                let k = (r * c).max(1);
                 let (sum, fl) = seal_accum(x.lo, x.hi, k, x.finite, x.nan_free && x.finite);
                 let kf = k as f64;
                 let (out, fl2) = seal_elem(sum.lo / kf, sum.hi / kf, 1, sum.finite, sum.nan_free);
@@ -597,7 +604,7 @@ fn propagate_state(tape: &Tape, ps: &ParamStore, cfg: &AbsintConfig) -> AbsState
             | Op::GatherRows { table: a, .. } => (g(a), gf(a)),
             Op::Dropout { x, mask } => {
                 let xv = g(x);
-                let factor = if tape.is_shape_only() || mask.is_placeholder() || mask.is_empty() {
+                let factor = if mask.is_empty() {
                     // No mask sampled: the keep-probability (and so the
                     // 1/keep scale) is unknown — any non-negative factor.
                     Interval { lo: 0.0, hi: f64::INFINITY, finite: true, nan_free: true }
@@ -1014,19 +1021,7 @@ pub fn audit_graph(tape: &Tape, root: Var, ps: &ParamStore, cfg: &AbsintConfig) 
     }
 
     // Quantisation table over the subgraph the root actually consumes.
-    let mut reachable = vec![false; n];
-    if root.index() < n {
-        let mut stack = vec![root.index()];
-        reachable[root.index()] = true;
-        while let Some(i) = stack.pop() {
-            for v in tape.op_at(i).inputs() {
-                if !reachable[v.index()] {
-                    reachable[v.index()] = true;
-                    stack.push(v.index());
-                }
-            }
-        }
-    }
+    let reachable = tape.ancestors(root);
     let mut quant = Vec::new();
     let mut summary = QuantSummary::default();
     for (i, _) in reachable.iter().enumerate().take(n).filter(|&(_, r)| *r) {
@@ -1094,9 +1089,30 @@ mod tests {
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0xAB51);
         let w = ps.add("w", Tensor::rand_normal(3, 4, 0.0, 1.0, &mut rng));
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let wv = t.param(&ps, w);
         (t, ps, wv, AbsintConfig::symbolic(bound, bound))
+    }
+
+    #[test]
+    fn sum_and_mean_term_counts_come_from_shapes_on_deferred_tapes() {
+        // A deferred tape's relu is a storage-free placeholder: the term
+        // count must come from its 4x4 shape, not its empty buffer.
+        let record = |t: &mut Tape| {
+            let x = t.input(Tensor::ones(4, 4));
+            let r = t.relu(x);
+            (t.sum_all(r), t.mean_all(r))
+        };
+        let ps = ParamStore::new();
+        let mut eager = Tape::new();
+        let (sum_e, mean_e) = record(&mut eager);
+        let mut deferred = Tape::inference();
+        let (sum_d, mean_d) = record(&mut deferred);
+        let cfg = AbsintConfig::observed();
+        let (ive, ivd) = (propagate(&eager, &ps, &cfg), propagate(&deferred, &ps, &cfg));
+        assert!(ivd[sum_d.index()].contains(16.0), "{:?}", ivd[sum_d.index()]);
+        assert_eq!(ivd[sum_d.index()], ive[sum_e.index()]);
+        assert_eq!(ivd[mean_d.index()], ive[mean_e.index()]);
     }
 
     #[test]
@@ -1184,7 +1200,7 @@ mod tests {
         let w = ps.add("x", Tensor::rand_normal(2, 16, 0.0, 1.0, &mut rng));
         let gamma = ps.add("g", Tensor::ones(1, 16));
         let beta = ps.add("b", Tensor::zeros(1, 16));
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let (xv, gv, bv) = (t.param(&ps, w), t.param(&ps, gamma), t.param(&ps, beta));
         let lnv = t.layer_norm(xv, gv, bv, 1e-5);
         let iv = propagate(&t, &ps, &AbsintConfig::symbolic(8.0, 1.0));
@@ -1255,7 +1271,7 @@ mod tests {
     fn weight_aware_seeding_reads_concrete_parameter_ranges() {
         let mut ps = ParamStore::new();
         let w = ps.add("w", Tensor::from_vec(1, 3, vec![-0.25, 0.5, 0.125]).expect("1x3 literal"));
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let wv = t.param(&ps, w);
         let iv = propagate(&t, &ps, &AbsintConfig::weight_aware(8.0));
         let out = iv[wv.index()];

@@ -1,13 +1,14 @@
 //! Static analysis over the autograd tape.
 //!
-//! Three passes, none of which execute kernels:
+//! Four passes, none of which execute kernels:
 //!
-//! 1. **Symbolic shape inference** — a tape recorded in
-//!    [`Tape::shape_only`](crate::Tape::shape_only) mode derives every
-//!    node's shape from pure per-op rules instead of running the kernels.
-//!    Shape constraint failures are collected as [`ShapeViolation`]s (op
-//!    index, op name, offending shapes) rather than panicking mid-forward,
-//!    so one pre-flight pass reports *all* wiring mistakes at once.
+//! 1. **Symbolic shape inference** — a tape recorded in deferred mode
+//!    ([`Tape::inference`](crate::Tape::inference)) derives every node's
+//!    shape from one per-op rule (`op_rule`, which also carries the op's
+//!    FLOP cost) instead of running the kernels. Shape constraint failures
+//!    are collected as [`ShapeViolation`]s (op index, op name, offending
+//!    shapes) rather than panicking mid-forward, so one pre-flight pass
+//!    reports *all* wiring mistakes at once.
 //! 2. **Dead-gradient / reachability analysis** — [`analyze_graph`] walks
 //!    the recorded graph backwards from the loss node and reports
 //!    parameters that are registered in the [`ParamStore`] but can never
@@ -29,7 +30,7 @@ use crate::tape::{Op, Tape, Var};
 use hiergat_tensor::cost as kcost;
 use std::fmt;
 
-/// A shape-constraint failure discovered during shape-only recording.
+/// A shape-constraint failure discovered while recording a deferred tape.
 #[derive(Debug, Clone)]
 pub struct ShapeViolation {
     /// Index of the offending op on the tape.
@@ -168,14 +169,14 @@ pub struct GraphReport {
     pub node_count: usize,
     /// Total registered parameters.
     pub param_count: usize,
-    /// Shape-inference violations (only populated for shape-only tapes).
+    /// Shape-inference violations (only populated for deferred tapes).
     pub shape_violations: Vec<ShapeViolation>,
     /// Registered parameters unreachable from the loss.
     pub dead_params: Vec<DeadParam>,
     /// Computed nodes that do not feed the loss.
     pub unused_nodes: Vec<UnusedNode>,
-    /// Non-finite values found on the tape (empty for shape-only tapes,
-    /// whose placeholders are all zeros).
+    /// Non-finite values found on the tape (on a deferred tape only its
+    /// `Input` leaves hold values).
     pub sentinel_hits: Vec<SentinelHit>,
     /// Structural problems in the model's *input* graph (e.g. HHG builder
     /// invariant violations), filled in by callers that own such a graph.
@@ -278,204 +279,191 @@ impl fmt::Display for GraphReport {
     }
 }
 
-/// Pure shape rule for one op given the shapes already on the tape.
-///
-/// Returns the output shape plus an optional constraint-violation message.
-/// On violation the returned shape is a best-effort fallback so recording
-/// can continue and later ops are still checked.
-pub(crate) fn infer_shape(tape: &Tape, op: &Op) -> ((usize, usize), Option<String>) {
+/// What one op's rule says, read off the shapes already on the tape: the
+/// output shape, a constraint violation if any, the estimated forward
+/// FLOPs, and the row count the kernel splits on (0 for ops that never take
+/// the pool path). [`Tape::record`](crate::Tape) and [`cost_analysis`] both
+/// read it, so an op's shape rule and its cost sit in one match arm.
+pub(crate) struct OpRule {
+    /// The output shape. On a violation this is a best-effort fallback, so
+    /// recording can continue and later ops are still checked.
+    pub(crate) shape: (usize, usize),
+    /// A human-readable constraint failure naming the offending shapes.
+    pub(crate) violation: Option<String>,
+    /// Estimated forward FLOPs (see `hiergat_tensor::cost` conventions).
+    pub(crate) flops: u64,
+    /// Rows the kernel splits across the pool (0: never parallel).
+    pub(crate) split_rows: usize,
+}
+
+/// The one shape-and-cost rule per op (see [`OpRule`]).
+pub(crate) fn op_rule(tape: &Tape, op: &Op) -> OpRule {
     let s = |v: Var| tape.value(v).shape();
+    // Elementwise FLOPs over operand `v` at `per` FLOPs per element.
+    let ew = |v: Var, per: u64| {
+        let (r, c) = s(v);
+        kcost::elementwise_flops(r * c, per)
+    };
     let same = |a: Var, b: Var, what: &str| {
         let (sa, sb) = (s(a), s(b));
-        if sa == sb {
-            (sa, None)
+        let bad = (sa != sb).then(|| format!("{what} requires equal shapes, got {sa:?} vs {sb:?}"));
+        (sa, bad, ew(a, 1), 0)
+    };
+    // Row-count and class-index checks of the cross-entropy losses.
+    let classes = |(r, c): (usize, usize), targets: &[usize]| {
+        if targets.len() == r {
+            targets
+                .iter()
+                .find(|&&t| t >= c)
+                .map(|t| format!("class {t} out of range for {c} columns"))
         } else {
-            (sa, Some(format!("{what} requires equal shapes, got {sa:?} vs {sb:?}")))
+            Some(format!("{} targets for {r} logit rows", targets.len()))
         }
     };
-    match op {
-        // Leaves carry their own tensors and never route through inference.
-        Op::Input | Op::Param(_) => ((0, 0), Some("leaf ops carry explicit values".into())),
+    // log-softmax plus the per-row pick/scale.
+    let ce_flops = |(r, c): (usize, usize)| kcost::softmax_flops(r, c) + 2 * r as u64;
+    let (shape, violation, flops, split_rows) = match op {
+        // Leaves carry their own tensors (`Tape::record` never sees one);
+        // their cost is zero.
+        Op::Input | Op::Param(_) => ((0, 0), None, 0, 0),
         Op::Add(a, b) => same(*a, *b, "add"),
         Op::Sub(a, b) => same(*a, *b, "sub"),
         Op::Mul(a, b) => same(*a, *b, "mul"),
         Op::Div(a, b) => same(*a, *b, "div"),
-        Op::Scale(a, _) | Op::AddScalar(a, _) => (s(*a), None),
+        Op::Scale(a, _)
+        | Op::AddScalar(a, _)
+        | Op::Relu(a)
+        | Op::LeakyRelu(a, _)
+        | Op::Dropout { x: a, .. } => (s(*a), None, ew(*a, 1), 0),
+        Op::Tanh(a) | Op::Sigmoid(a) | Op::Gelu(a) | Op::Exp(a) | Op::Ln(a) | Op::Sqrt(a) => {
+            (s(*a), None, ew(*a, kcost::TRANSCENDENTAL_FLOPS), 0)
+        }
         Op::AddRow(a, row) => {
             let (sa, sr) = (s(*a), s(*row));
-            if sr == (1, sa.1) {
-                (sa, None)
-            } else {
-                (
-                    sa,
-                    Some(format!(
-                        "add_row requires a (1, {}) row for lhs {sa:?}, got {sr:?}",
-                        sa.1
-                    )),
-                )
-            }
+            let bad = (sr != (1, sa.1)).then(|| {
+                format!("add_row requires a (1, {}) row for lhs {sa:?}, got {sr:?}", sa.1)
+            });
+            (sa, bad, ew(*a, 1), 0)
         }
         Op::AddCol(a, col) | Op::MulCol(a, col) => {
             let (sa, sc) = (s(*a), s(*col));
-            if sc == (sa.0, 1) {
-                (sa, None)
-            } else {
-                (sa, Some(format!("requires a ({}, 1) column for lhs {sa:?}, got {sc:?}", sa.0)))
-            }
+            let bad = (sc != (sa.0, 1))
+                .then(|| format!("requires a ({}, 1) column for lhs {sa:?}, got {sc:?}", sa.0));
+            (sa, bad, ew(*a, 1), 0)
         }
         Op::Matmul(a, b) => {
             let (sa, sb) = (s(*a), s(*b));
-            let out = (sa.0, sb.1);
-            if sa.1 == sb.0 {
-                (out, None)
-            } else {
-                (out, Some(format!("inner dimensions differ: {sa:?} x {sb:?}")))
-            }
+            let bad = (sa.1 != sb.0).then(|| format!("inner dimensions differ: {sa:?} x {sb:?}"));
+            ((sa.0, sb.1), bad, kcost::matmul_flops(sa.0, sa.1, sb.1), sa.0)
         }
         Op::MatmulNt(a, b) => {
             let (sa, sb) = (s(*a), s(*b));
-            let out = (sa.0, sb.0);
-            if sa.1 == sb.1 {
-                (out, None)
-            } else {
-                (out, Some(format!("trailing dimensions differ: {sa:?} x {sb:?}^T")))
-            }
+            let bad =
+                (sa.1 != sb.1).then(|| format!("trailing dimensions differ: {sa:?} x {sb:?}^T"));
+            ((sa.0, sb.0), bad, kcost::matmul_flops(sa.0, sa.1, sb.0), sa.0)
         }
         Op::MatmulTn(a, b) => {
             let (sa, sb) = (s(*a), s(*b));
-            let out = (sa.1, sb.1);
-            if sa.0 == sb.0 {
-                (out, None)
-            } else {
-                (out, Some(format!("leading dimensions differ: {sa:?}^T x {sb:?}")))
-            }
+            let bad =
+                (sa.0 != sb.0).then(|| format!("leading dimensions differ: {sa:?}^T x {sb:?}"));
+            ((sa.1, sb.1), bad, kcost::matmul_flops(sa.1, sa.0, sb.1), sa.1)
         }
-        Op::Transpose(a) => {
-            let (r, c) = s(*a);
-            ((c, r), None)
-        }
-        Op::SumAll(_) | Op::MeanAll(_) => ((1, 1), None),
-        Op::SumRows(a) => ((1, s(*a).1), None),
-        Op::SumCols(a) => ((s(*a).0, 1), None),
+        Op::Transpose(a) => ((s(*a).1, s(*a).0), None, 0, 0),
+        Op::SumAll(a) | Op::MeanAll(a) => ((1, 1), None, ew(*a, 1), 0),
+        Op::SumRows(a) => ((1, s(*a).1), None, ew(*a, 1), 0),
+        Op::SumCols(a) => ((s(*a).0, 1), None, ew(*a, 1), 0),
         Op::MaxCols(a) => {
-            let sa = s(*a);
-            if sa.1 == 0 {
-                ((sa.0, 1), Some("max_cols of a zero-column tensor".into()))
-            } else {
-                ((sa.0, 1), None)
-            }
+            let bad = (s(*a).1 == 0).then(|| "max_cols of a zero-column tensor".into());
+            ((s(*a).0, 1), bad, ew(*a, 1), 0)
         }
-        Op::Softmax(a)
-        | Op::LogSoftmax(a)
-        | Op::Exp(a)
-        | Op::Ln(a)
-        | Op::Sqrt(a)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::Tanh(a)
-        | Op::Sigmoid(a)
-        | Op::Gelu(a) => (s(*a), None),
+        Op::Softmax(a) | Op::LogSoftmax(a) => {
+            let (r, c) = s(*a);
+            ((r, c), None, kcost::softmax_flops(r, c), r)
+        }
         Op::LayerNorm { x, gamma, beta, .. } => {
             let (sx, sg, sb) = (s(*x), s(*gamma), s(*beta));
             let want = (1, sx.1);
-            if sg != want {
-                (sx, Some(format!("gamma must be {want:?} for input {sx:?}, got {sg:?}")))
-            } else if sb != want {
-                (sx, Some(format!("beta must be {want:?} for input {sx:?}, got {sb:?}")))
+            let bad = if sg != want {
+                Some(format!("gamma must be {want:?} for input {sx:?}, got {sg:?}"))
             } else {
-                (sx, None)
-            }
+                (sb != want).then(|| format!("beta must be {want:?} for input {sx:?}, got {sb:?}"))
+            };
+            (sx, bad, kcost::layer_norm_flops(sx.0, sx.1), sx.0)
         }
         Op::ConcatCols(parts) => {
             let shapes: Vec<(usize, usize)> = parts.iter().map(|&p| s(p)).collect();
             let rows = shapes.first().map_or(0, |sh| sh.0);
-            let cols = shapes.iter().map(|sh| sh.1).sum();
-            if shapes.iter().any(|sh| sh.0 != rows) {
-                ((rows, cols), Some(format!("row counts differ across parts: {shapes:?}")))
-            } else {
-                ((rows, cols), None)
-            }
+            let bad = shapes
+                .iter()
+                .any(|sh| sh.0 != rows)
+                .then(|| format!("row counts differ across parts: {shapes:?}"));
+            ((rows, shapes.iter().map(|sh| sh.1).sum()), bad, 0, 0)
         }
         Op::ConcatRows(parts) => {
             let shapes: Vec<(usize, usize)> = parts.iter().map(|&p| s(p)).collect();
             let cols = shapes.first().map_or(0, |sh| sh.1);
-            let rows = shapes.iter().map(|sh| sh.0).sum();
-            if shapes.iter().any(|sh| sh.1 != cols) {
-                ((rows, cols), Some(format!("column counts differ across parts: {shapes:?}")))
-            } else {
-                ((rows, cols), None)
-            }
+            let bad = shapes
+                .iter()
+                .any(|sh| sh.1 != cols)
+                .then(|| format!("column counts differ across parts: {shapes:?}"));
+            ((shapes.iter().map(|sh| sh.0).sum(), cols), bad, 0, 0)
         }
         Op::SliceCols { x, start, len } => {
             let sx = s(*x);
-            let out = (sx.0, *len);
-            if start + len <= sx.1 {
-                (out, None)
-            } else {
-                (out, Some(format!("columns [{start}, {}) out of range for {sx:?}", start + len)))
-            }
+            let end = start + len;
+            let bad =
+                (end > sx.1).then(|| format!("columns [{start}, {end}) out of range for {sx:?}"));
+            ((sx.0, *len), bad, 0, 0)
         }
         Op::SliceRows { x, start, len } => {
             let sx = s(*x);
-            let out = (*len, sx.1);
-            if start + len <= sx.0 {
-                (out, None)
-            } else {
-                (out, Some(format!("rows [{start}, {}) out of range for {sx:?}", start + len)))
-            }
+            let end = start + len;
+            let bad =
+                (end > sx.0).then(|| format!("rows [{start}, {end}) out of range for {sx:?}"));
+            ((*len, sx.1), bad, 0, 0)
         }
         Op::GatherRows { table, indices } => {
             let st = s(*table);
-            let out = (indices.len(), st.1);
-            match indices.iter().find(|&&i| i >= st.0) {
-                Some(&bad) => (out, Some(format!("index {bad} out of range for table {st:?}"))),
-                None => (out, None),
-            }
+            let bad = indices
+                .iter()
+                .find(|&&i| i >= st.0)
+                .map(|i| format!("index {i} out of range for table {st:?}"));
+            ((indices.len(), st.1), bad, 0, 0)
         }
-        Op::Dropout { x, .. } => (s(*x), None),
         Op::CrossEntropyLogits { logits, targets } => {
             let sl = s(*logits);
-            if targets.len() != sl.0 {
-                ((1, 1), Some(format!("{} targets for {} logit rows", targets.len(), sl.0)))
-            } else if let Some(&bad) = targets.iter().find(|&&t| t >= sl.1) {
-                ((1, 1), Some(format!("class {bad} out of range for {} columns", sl.1)))
-            } else {
-                ((1, 1), None)
-            }
+            ((1, 1), classes(sl, targets), ce_flops(sl), sl.0)
         }
         Op::WeightedCrossEntropyLogits { logits, targets, weights } => {
             let sl = s(*logits);
-            if targets.len() != sl.0 {
-                ((1, 1), Some(format!("{} targets for {} logit rows", targets.len(), sl.0)))
+            let bad = if targets.len() != sl.0 {
+                classes(sl, targets)
             } else if weights.len() != targets.len() {
-                ((1, 1), Some(format!("{} weights for {} targets", weights.len(), targets.len())))
+                Some(format!("{} weights for {} targets", weights.len(), targets.len()))
             } else if weights.iter().sum::<f32>() <= 0.0 {
-                ((1, 1), Some("weights must have a positive sum".into()))
-            } else if let Some(&bad) = targets.iter().find(|&&t| t >= sl.1) {
-                ((1, 1), Some(format!("class {bad} out of range for {} columns", sl.1)))
+                Some("weights must have a positive sum".into())
             } else {
-                ((1, 1), None)
-            }
+                classes(sl, targets)
+            };
+            ((1, 1), bad, ce_flops(sl), sl.0)
         }
         Op::BceWithLogits { logits, targets } => {
             let sl = s(*logits);
-            if sl.1 != 1 {
-                ((1, 1), Some(format!("logits must be a column vector, got {sl:?}")))
-            } else if targets.len() != sl.0 {
-                ((1, 1), Some(format!("{} targets for {} logit rows", targets.len(), sl.0)))
+            let bad = if sl.1 == 1 {
+                (targets.len() != sl.0)
+                    .then(|| format!("{} targets for {} logit rows", targets.len(), sl.0))
             } else {
-                ((1, 1), None)
-            }
+                Some(format!("logits must be a column vector, got {sl:?}"))
+            };
+            ((1, 1), bad, sl.0 as u64 * (2 * kcost::TRANSCENDENTAL_FLOPS + 4), 0)
         }
         Op::MseLoss { pred, target } => {
-            let sp = s(*pred);
-            if sp == target.shape() {
-                ((1, 1), None)
-            } else {
-                ((1, 1), Some(format!("prediction {sp:?} vs target {:?}", target.shape())))
-            }
+            let (sp, st) = (s(*pred), target.shape());
+            let bad = (sp != st).then(|| format!("prediction {sp:?} vs target {st:?}"));
+            ((1, 1), bad, ew(*pred, 3), 0)
         }
-    }
+    };
+    OpRule { shape, violation, flops, split_rows }
 }
 
 /// Runs reachability and liveness analysis from `loss` and combines it with
@@ -483,20 +471,7 @@ pub(crate) fn infer_shape(tape: &Tape, op: &Op) -> ((usize, usize), Option<Strin
 /// one [`GraphReport`].
 pub fn analyze_graph(tape: &Tape, loss: Var, ps: &ParamStore) -> GraphReport {
     let n = tape.len();
-    // Ancestors of the loss: every node whose value influences it.
-    let mut reachable = vec![false; n];
-    if loss.index() < n {
-        let mut stack = vec![loss.index()];
-        reachable[loss.index()] = true;
-        while let Some(i) = stack.pop() {
-            for v in tape.op_at(i).inputs() {
-                if !reachable[v.index()] {
-                    reachable[v.index()] = true;
-                    stack.push(v.index());
-                }
-            }
-        }
-    }
+    let reachable = tape.ancestors(loss);
 
     // Parameters reached through a live Op::Param leaf.
     let mut param_reached = vec![false; ps.len()];
@@ -539,78 +514,8 @@ pub fn analyze_graph(tape: &Tape, loss: Var, ps: &ParamStore) -> GraphReport {
     }
 }
 
-/// Estimated forward FLOPs of the op plus the row count its kernel splits
-/// on (0 for ops that never take the pool path).
-fn op_flops_and_rows(tape: &Tape, op: &Op) -> (u64, usize) {
-    let s = |v: Var| tape.value(v).shape();
-    let elems = |v: Var| {
-        let (r, c) = s(v);
-        r * c
-    };
-    match op {
-        Op::Input
-        | Op::Param(_)
-        | Op::Transpose(_)
-        | Op::ConcatCols(_)
-        | Op::ConcatRows(_)
-        | Op::SliceCols { .. }
-        | Op::SliceRows { .. }
-        | Op::GatherRows { .. } => (0, 0),
-        Op::Add(a, _)
-        | Op::Sub(a, _)
-        | Op::Mul(a, _)
-        | Op::Div(a, _)
-        | Op::AddRow(a, _)
-        | Op::AddCol(a, _)
-        | Op::MulCol(a, _)
-        | Op::Scale(a, _)
-        | Op::AddScalar(a, _)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::SumAll(a)
-        | Op::MeanAll(a)
-        | Op::SumRows(a)
-        | Op::SumCols(a)
-        | Op::MaxCols(a) => (kcost::elementwise_flops(elems(*a), 1), 0),
-        Op::Tanh(a) | Op::Sigmoid(a) | Op::Gelu(a) | Op::Exp(a) | Op::Ln(a) | Op::Sqrt(a) => {
-            (kcost::elementwise_flops(elems(*a), kcost::TRANSCENDENTAL_FLOPS), 0)
-        }
-        Op::Dropout { x, .. } => (kcost::elementwise_flops(elems(*x), 1), 0),
-        Op::Matmul(a, b) => {
-            let (sa, sb) = (s(*a), s(*b));
-            (kcost::matmul_flops(sa.0, sa.1, sb.1), sa.0)
-        }
-        Op::MatmulNt(a, b) => {
-            let (sa, sb) = (s(*a), s(*b));
-            (kcost::matmul_flops(sa.0, sa.1, sb.0), sa.0)
-        }
-        Op::MatmulTn(a, b) => {
-            let (sa, sb) = (s(*a), s(*b));
-            (kcost::matmul_flops(sa.1, sa.0, sb.1), sa.1)
-        }
-        Op::Softmax(a) | Op::LogSoftmax(a) => {
-            let (r, c) = s(*a);
-            (kcost::softmax_flops(r, c), r)
-        }
-        Op::LayerNorm { x, .. } => {
-            let (r, c) = s(*x);
-            (kcost::layer_norm_flops(r, c), r)
-        }
-        Op::CrossEntropyLogits { logits, .. } | Op::WeightedCrossEntropyLogits { logits, .. } => {
-            // log-softmax plus the per-row pick/scale.
-            let (r, c) = s(*logits);
-            (kcost::softmax_flops(r, c) + 2 * r as u64, r)
-        }
-        Op::BceWithLogits { logits, .. } => {
-            let (r, _) = s(*logits);
-            (r as u64 * (2 * kcost::TRANSCENDENTAL_FLOPS + 4), 0)
-        }
-        Op::MseLoss { pred, .. } => (kcost::elementwise_flops(elems(*pred), 3), 0),
-    }
-}
-
-/// Per-op FLOP and memory estimates over any recorded tape (shape-only
-/// tapes included — only shapes are read, never values).
+/// Per-op FLOP and memory estimates over any recorded tape (deferred tapes
+/// included — only shapes are read, never values).
 ///
 /// `split` is the thread count the serial-vs-parallel decision is evaluated
 /// at; pass [`parallel::configured_threads`] to predict the real run. Peak
@@ -625,8 +530,8 @@ pub fn cost_analysis(tape: &Tape, split: usize) -> CostReport {
     let mut parallel_flops = 0u64;
     for i in 0..n {
         let op = tape.op_at(i);
-        let (flops, rows) = op_flops_and_rows(tape, op);
-        let is_parallel = kcost::plan_pieces(flops, rows, split) > 1;
+        let OpRule { flops, split_rows, .. } = op_rule(tape, op);
+        let is_parallel = kcost::plan_pieces(flops, split_rows, split) > 1;
         let (r, c) = tape.value(Var::from_index(i)).shape();
         total_flops += flops;
         if is_parallel {
@@ -646,9 +551,7 @@ pub fn cost_analysis(tape: &Tape, split: usize) -> CostReport {
     // the loss — is freed immediately after, which cannot lower the peak).
     let mut last_use: Vec<usize> = (0..n).collect();
     for i in 0..n {
-        for v in tape.op_at(i).inputs() {
-            last_use[v.index()] = i;
-        }
+        tape.op_at(i).for_each_input(|v| last_use[v.index()] = i);
     }
     let mut free_at: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (node, &lu) in last_use.iter().enumerate() {
@@ -697,7 +600,7 @@ mod tests {
 
     #[test]
     fn shape_only_matmul_mismatch_is_reported_not_panicked() {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::zeros(2, 3));
         let b = t.input(Tensor::zeros(4, 5));
         let c = t.matmul(a, b); // 3 != 4: violation, fallback (2, 5)
@@ -715,19 +618,23 @@ mod tests {
 
     #[test]
     fn shape_only_collects_multiple_violations() {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::zeros(2, 3));
         let b = t.input(Tensor::zeros(2, 4));
         let bad_sum = t.add(a, b); // shapes differ
         let row = t.input(Tensor::zeros(1, 7));
         let bad_row = t.add_row(bad_sum, row); // wrong row width
-        let _ = t.slice_cols(bad_row, 2, 9); // out of range
+        let sliced = t.slice_cols(bad_row, 2, 9); // out of range
         assert_eq!(t.shape_violations().len(), 3);
+        // Recording went on past each violation with the fallback shape.
+        let later = t.tanh(sliced);
+        assert_eq!(t.value(later).shape(), (2, 9));
+        assert_eq!(t.len(), 7);
     }
 
     #[test]
     fn shape_only_valid_graph_is_clean_and_shapes_propagate() {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let x = t.input(Tensor::zeros(5, 8));
         let w = t.input(Tensor::zeros(8, 3));
         let y = t.matmul(x, w);
@@ -818,7 +725,7 @@ mod tests {
 
     #[test]
     fn cost_analysis_counts_matmul_flops_exactly() {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::zeros(64, 128));
         let b = t.input(Tensor::zeros(128, 32));
         let y = t.matmul(a, b);
@@ -834,7 +741,7 @@ mod tests {
 
     #[test]
     fn cost_analysis_serial_split_marks_nothing_parallel() {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::zeros(64, 128));
         let b = t.input(Tensor::zeros(128, 32));
         let _ = t.matmul(a, b);
@@ -848,7 +755,7 @@ mod tests {
         // `x` is consumed again by the residual add, so the peak moment is
         // x + a + b live at once; afterwards x and a are freed, so the naive
         // sum over all outputs overstates the real footprint.
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let x = t.input(Tensor::zeros(100, 100)); // 40_000 B
         let a = t.tanh(x); // 40_000 B
         let b = t.add(x, a); // 40_000 B, frees x and a
@@ -861,7 +768,7 @@ mod tests {
 
     #[test]
     fn matmul_nt_shape_rule_and_cost_match_matmul_of_transpose() {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let q = t.input(Tensor::zeros(7, 16));
         let k = t.input(Tensor::zeros(9, 16));
         let s1 = t.matmul_nt(q, k);
@@ -882,7 +789,7 @@ mod tests {
     #[test]
     fn report_display_includes_cost_summary() {
         let ps = ParamStore::new();
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::zeros(64, 128));
         let b = t.input(Tensor::zeros(128, 32));
         let y = t.matmul(a, b);
@@ -899,7 +806,7 @@ mod tests {
         let mut ps = ParamStore::new();
         let orphan = ps.add("layer.orphan", Tensor::ones(1, 1));
         let _ = orphan;
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let a = t.input(Tensor::zeros(2, 3));
         let b = t.input(Tensor::zeros(4, 5));
         let y = t.matmul(a, b);

@@ -43,9 +43,10 @@ fn log_probs(logits: &[f32], r: usize, c: usize) -> Vec<f32> {
 /// `out`. `val` and `shape` read an input's values and shape; `moments` is
 /// layer-norm scratch, grown on first use and reused afterwards.
 ///
-/// The caller has checked the op's shape rule
-/// ([`crate::analyze::infer_shape`]), so the kernels index without
-/// re-validating shapes.
+/// The caller has checked the op's shape rule (`crate::analyze::op_rule`),
+/// so the kernels index without re-validating shapes: eager recording
+/// panics on a violation, and the arena executor refuses a deferred tape
+/// that recorded one.
 ///
 /// # Panics
 /// Panics on a leaf op (leaves carry their own values). Debug builds also
@@ -299,6 +300,37 @@ mod tests {
     #[should_panic(expected = "max_cols of a zero-column tensor")]
     fn max_cols_panics_on_zero_width() {
         eager(Tensor::zeros(2, 0), Tape::max_cols);
+    }
+
+    #[test]
+    fn concat_cols_layout() {
+        let mut t = Tape::new();
+        let a = t.input(Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
+        let b = t.input(Tensor::from_rows(&[vec![5.0], vec![6.0]]));
+        let c = t.concat_cols(&[a, b]);
+        assert_eq!(t.value(c).shape(), (2, 3));
+        assert_eq!(t.value(c).row(0), &[1.0, 2.0, 5.0]);
+        assert_eq!(t.value(c).row(1), &[3.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn concat_rows_layout() {
+        let mut t = Tape::new();
+        let a = t.input(Tensor::from_rows(&[vec![1.0, 2.0]]));
+        let b = t.input(Tensor::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]));
+        let c = t.concat_rows(&[a, b]);
+        assert_eq!(t.value(c).shape(), (3, 2));
+        assert_eq!(t.value(c).row(2), &[5.0, 6.0]);
+    }
+
+    #[test]
+    fn gather_rows_layout() {
+        let table = Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![2.0, 2.0]]);
+        let picked = eager(table, |t, x| t.gather_rows(x, &[2, 0, 2]));
+        assert_eq!(picked.shape(), (3, 2));
+        assert_eq!(picked.row(0), &[2.0, 2.0]);
+        assert_eq!(picked.row(1), &[1.0, 0.0]);
+        assert_eq!(picked.row(2), &[2.0, 2.0]);
     }
 
     #[test]

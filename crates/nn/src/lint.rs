@@ -1,4 +1,4 @@
-//! Graph lint engine: wiring-level rules over shape-only tapes.
+//! Graph lint engine: wiring-level rules over deferred tapes.
 //!
 //! [`crate::analyze`] proves shapes, gradient reachability, and cost. This
 //! module answers the next question — *is the graph wired in a numerically
@@ -254,7 +254,9 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Lints the graph rooted at `loss` on a (typically shape-only) tape.
+/// Lints the graph rooted at `loss` on any tape; callers record a deferred
+/// one ([`crate::Tape::inference`]), since the rules read shapes and
+/// proven intervals, never computed values.
 pub fn lint_graph(tape: &Tape, loss: Var, ps: &ParamStore, cfg: &LintConfig) -> LintReport {
     let n = tape.len();
     let shape = |i: usize| tape.value(Var::from_index(i)).shape();
@@ -266,19 +268,7 @@ pub fn lint_graph(tape: &Tape, loss: Var, ps: &ParamStore, cfg: &LintConfig) -> 
             consumers[v.index()].push(i);
         }
     }
-    let mut reachable = vec![false; n];
-    if loss.index() < n {
-        let mut stack = vec![loss.index()];
-        reachable[loss.index()] = true;
-        while let Some(i) = stack.pop() {
-            for v in tape.op_at(i).inputs() {
-                if !reachable[v.index()] {
-                    reachable[v.index()] = true;
-                    stack.push(v.index());
-                }
-            }
-        }
-    }
+    let reachable = tape.ancestors(loss);
     // Value facts come from the interval abstract interpreter under its
     // strongest assumption — every leaf is any finite f32 — so a property
     // proven here holds for every input the graph could ever see. The
@@ -505,12 +495,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// One shape-only tape + store, pre-loaded with a 3x4 parameter.
+    /// One deferred tape + store, pre-loaded with a 3x4 parameter.
     fn fixture() -> (Tape, ParamStore, Var) {
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0xF1C5);
         let w = ps.add("w", Tensor::rand_normal(3, 4, 0.0, 1.0, &mut rng));
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let wv = t.param(&ps, w);
         (t, ps, wv)
     }
@@ -723,7 +713,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xF2);
         let w = ps.add("enc.w", Tensor::rand_normal(3, 3, 0.0, 1.0, &mut rng));
         ps.freeze(w);
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let wv = t.param(&ps, w);
         let h = t.tanh(wv);
         let loss = t.mean_all(h);
@@ -740,7 +730,7 @@ mod tests {
         let used = ps.add("used", Tensor::rand_normal(2, 2, 0.0, 1.0, &mut rng));
         let frozen = ps.add("frozen.w", Tensor::rand_normal(2, 2, 0.0, 1.0, &mut rng));
         ps.freeze(frozen);
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let wv = t.param(&ps, used);
         let h = t.sigmoid(wv);
         let loss = t.mean_all(h);

@@ -384,13 +384,17 @@ fn cheap_key(tape: &Tape, root: Var) -> u64 {
 /// Everything else the decisions encode — fusions, liveness, DCE, all
 /// wiring — is purely structural and pinned by signature equality. Any
 /// failed check falls back to a full planning run, which refreshes the
-/// cache. Eager and shape-only tapes delegate to [`optimize_owned`]
-/// (their recorded values would go stale inside a patched cache), and
-/// `cfg.verify` delegates to [`optimize`]; both still return through the
-/// cache's holding slot so the borrowed result type is uniform.
+/// cache. Eager tapes delegate to [`optimize_owned`] (their recorded
+/// values would go stale inside a patched cache), and `cfg.verify`
+/// delegates to [`optimize`]; both still return through the cache's
+/// holding slot so the borrowed result type is uniform.
 ///
 /// # Panics
-/// Panics if `root` is not a node of `tape`.
+/// Panics if `root` is not a node of `tape`, or if the tape recorded a
+/// shape violation (with the first violation's message): a violation need
+/// not change the plan signature (an out-of-range `gather_rows` index
+/// keeps its output shape), so a violating tape must never reach a cached
+/// entry's patch path.
 pub fn optimize_with_cache<'c>(
     cache: &'c mut OptimizerCache,
     mut tape: Tape,
@@ -398,7 +402,8 @@ pub fn optimize_with_cache<'c>(
     ps: &ParamStore,
     cfg: &OptimizeConfig,
 ) -> CachedOptimized<'c> {
-    if cfg.verify || tape.is_shape_only() || !tape.is_inference() {
+    tape.assert_no_violations("optimize_with_cache");
+    if cfg.verify || !tape.is_inference() {
         let opt = if cfg.verify {
             optimize(&tape, root, ps, cfg)
         } else {
@@ -408,7 +413,6 @@ pub fn optimize_with_cache<'c>(
         return CachedOptimized { tape: &o.tape, root: o.root, report: &o.report };
     }
     assert!(root.index() < tape.len(), "optimize: root is not a node of this tape");
-    assert!(!tape.is_shape_only() && tape.is_inference(), "checked by the delegation gate above");
     let key = cheap_key(&tape, root);
     let flags = pass_flags(cfg);
     let pos = cache.entries.get(&key).and_then(|bucket| {
@@ -488,27 +492,19 @@ fn decisions_valid(d: &Decisions, tape: &Tape, ps: &ParamStore) -> bool {
         }
     }
     if d.plan.fold_ok.iter().any(|&f| f) {
-        let eager = !tape.is_shape_only() && !tape.is_inference();
-        if eager {
-            for i in 0..n {
-                if d.plan.fold_ok[i] && tape.node_value(i).has_non_finite() {
-                    return false;
-                }
-            }
-        } else {
-            // Same proof obligation as fold planning: every node the
-            // scratch evaluation will run an eager kernel for is itself
-            // fold_ok (fold support closes over fold_ok nodes and Input
-            // leaves, and a non-finite Input poisons its consumers'
-            // observed intervals), so proving the fold_ok set finite and
-            // NaN-free re-arms the sentinel-safety argument per call.
-            let cfg_iv =
-                AbsintConfig { inputs: SeedMode::Observed, params: SeedMode::Box(f64::INFINITY) };
-            let iv = propagate(tape, ps, &cfg_iv);
-            for (ok, range) in d.plan.fold_ok.iter().zip(&iv) {
-                if *ok && !(range.finite && range.nan_free) {
-                    return false;
-                }
+        // Only deferred tapes reach here, so this is the same proof
+        // obligation as deferred fold planning: every node the scratch
+        // evaluation will run an eager kernel for is itself fold_ok (fold
+        // support closes over fold_ok nodes and Input leaves, and a
+        // non-finite Input poisons its consumers' observed intervals), so
+        // proving the fold_ok set finite and NaN-free re-arms the
+        // sentinel-safety argument per call.
+        let cfg_iv =
+            AbsintConfig { inputs: SeedMode::Observed, params: SeedMode::Box(f64::INFINITY) };
+        let iv = propagate(tape, ps, &cfg_iv);
+        for (ok, range) in d.plan.fold_ok.iter().zip(&iv) {
+            if *ok && !(range.finite && range.nan_free) {
+                return false;
             }
         }
     }
@@ -804,30 +800,14 @@ fn resolve(alias: &[Option<usize>], mut i: usize) -> usize {
     i
 }
 
-/// The node's concrete value, when the recording mode guarantees one: any
-/// node on an eager tape, `Input` leaves everywhere (they keep real data
-/// even on shape-only and deferred tapes). Shape-only placeholders are
-/// all-zeros and must never be mistaken for a recorded zero tensor.
-fn concrete_value(tape: &Tape, i: usize) -> Option<&Tensor> {
-    let eager = !tape.is_shape_only() && !tape.is_inference();
-    if !eager && !matches!(tape.op_at(i), Op::Input) {
-        return None;
-    }
-    let v = tape.node_value(i);
-    if v.is_placeholder() {
-        return None;
-    }
-    Some(v)
-}
-
-/// `true` when the node's value is known and every element has exactly the
+/// `true` when the node holds a value and every element has exactly the
 /// bit pattern `bits` (elisions key on bits, not numeric equality, so
-/// `-0.0` and `+0.0` stay distinct).
+/// `-0.0` and `+0.0` stay distinct). Values exist for every node of an
+/// eager tape and for `Input` leaves everywhere; a deferred tape's other
+/// nodes are storage-free placeholders, whose empty buffer never matches.
 fn all_bits(tape: &Tape, i: usize, bits: u32) -> bool {
-    match concrete_value(tape, i) {
-        Some(v) => !v.is_empty() && v.as_slice().iter().all(|x| x.to_bits() == bits),
-        None => false,
-    }
+    let v = tape.node_value(i).as_slice();
+    !v.is_empty() && v.iter().all(|x| x.to_bits() == bits)
 }
 
 fn same_shape(tape: &Tape, i: usize, j: usize) -> bool {
@@ -889,7 +869,7 @@ fn run_passes<S: TapeSource>(
     blacklist: &HashSet<usize>,
 ) -> PassOutput {
     let n = src.tape().len();
-    let eager = !src.tape().is_shape_only() && !src.tape().is_inference();
+    let eager = !src.tape().is_inference();
 
     // ---- Planning (borrows the source tape immutably throughout) ----------
     let planned = plan_passes(src.tape(), root, ps, cfg, blacklist);
@@ -1093,8 +1073,7 @@ fn plan_passes(
     blacklist: &HashSet<usize>,
 ) -> PlanData {
     let n = tape.len();
-    let shape_only = tape.is_shape_only();
-    let eager = !shape_only && !tape.is_inference();
+    let eager = !tape.is_inference();
 
     // ---- Rewrite planning (old-index space) -------------------------------
     let mut fused: Vec<Option<Op>> = (0..n).map(|_| None).collect();
@@ -1134,9 +1113,10 @@ fn plan_passes(
     // ---- Constant-fold planning ------------------------------------------
     // Structurally foldable: non-leaf, every (alias-resolved) input is an
     // Input leaf or itself foldable. Never Param (live store reads), never
-    // Dropout. Shape-only tapes record no input data to fold with.
+    // Dropout, and nothing on a tape with a shape violation (its kernels
+    // cannot run).
     let mut fold_ok = vec![false; n];
-    if cfg.fold && !shape_only {
+    if cfg.fold && tape.shape_violations().is_empty() {
         let mut structural = vec![false; n];
         let mut any = false;
         for i in 0..n {
@@ -1258,9 +1238,8 @@ fn elision_target(tape: &Tape, i: usize) -> Option<usize> {
 /// vector and the hot path allocates nothing.
 fn scratch_fold_values(tape: &Tape, plan: &PlanData, ps: &ParamStore) -> Vec<Option<Tensor>> {
     let n = tape.len();
-    let eager = !tape.is_shape_only() && !tape.is_inference();
     let PlanData { fused, alias, fold_ok, live } = plan;
-    if eager || !fold_ok.iter().any(|&f| f) {
+    if !tape.is_inference() || !fold_ok.iter().any(|&f| f) {
         return Vec::new();
     }
     let mut needed = vec![false; n];
@@ -1301,14 +1280,9 @@ fn scratch_fold_values(tape: &Tape, plan: &PlanData, ps: &ParamStore) -> Vec<Opt
 /// Interval half of translation validation: propagate both tapes under the
 /// same seeding and require every rewrite's replacement interval to be
 /// contained in the original's. Returns `true` when all certificates pass.
+/// Inputs hold real data on every tape, so observed seeding always applies.
 fn verify_intervals(old: &Tape, ps: &ParamStore, out: &mut PassOutput) -> bool {
-    let cfg = if old.is_shape_only() {
-        // Shape-only placeholders are all zeros; observed seeding would be
-        // vacuous, so prove containment over every finite input instead.
-        AbsintConfig::unbounded()
-    } else {
-        AbsintConfig::observed()
-    };
+    let cfg = AbsintConfig::observed();
     let old_iv = propagate(old, ps, &cfg);
     let new_iv = propagate(&out.tape, ps, &cfg);
     let mut all_ok = true;
@@ -1704,23 +1678,64 @@ mod tests {
     }
 
     #[test]
-    fn shape_only_tapes_optimize_without_folding() {
-        let ps = ParamStore::new();
-        let mut t = Tape::shape_only();
-        let a = t.input(Tensor::ones(3, 4));
+    fn deferred_tapes_optimize_in_mode_and_fold_only_input_subgraphs() {
+        let mut ps = ParamStore::new();
+        let w = ps.add("w", Tensor::ones(3, 4));
+        let mut t = Tape::inference();
+        let a = t.param(&ps, w);
         let b = t.input(Tensor::ones(3, 5));
         let at = t.transpose(a);
         let y = t.matmul(at, b);
         let _dead = t.exp(y);
-        let root = t.sum_all(y);
+        let c = t.input(Tensor::full(1, 1, 2.0));
+        let c2 = t.scale(c, 3.0); // input-only: folds to a constant
+        let yc = t.sum_all(y);
+        let root = t.mul(yc, c2);
 
-        let opt = optimize(&t, root, &ps, &OptimizeConfig::default());
-        assert!(opt.tape.is_shape_only());
-        assert_eq!(opt.report.folded, 0, "shape-only placeholders must never fold");
+        let opt = optimize(&t, root, &ps, &OptimizeConfig::verified());
+        assert!(opt.tape.is_inference());
+        assert_eq!(opt.report.folded, 1, "only the input-only scale folds");
         assert_eq!(opt.report.fused, 1);
         assert!(opt.report.removed_dead >= 1);
+        assert!(opt.report.all_valid(), "{}", opt.report);
         assert!(opt.tape.shape_violations().is_empty());
         assert_eq!(opt.tape.value(opt.root).shape(), t.value(root).shape());
+    }
+
+    #[test]
+    fn violating_deferred_tapes_optimize_without_folding() {
+        let ps = ParamStore::new();
+        let mut t = Tape::inference();
+        let a = t.input(Tensor::ones(2, 3));
+        let b = t.input(Tensor::ones(4, 5));
+        let y = t.matmul(a, b); // input-only, but its kernel cannot run
+        let root = t.sum_all(y);
+        let opt = optimize(&t, root, &ps, &OptimizeConfig::default());
+        assert_eq!(opt.report.folded, 0);
+        assert_eq!(opt.tape.shape_violations().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "optimize_with_cache: deferred tape has a shape violation at \
+                               op #1 (gather_rows): index 7 out of range for table (3, 2)")]
+    fn optimize_with_cache_refuses_a_violating_tape() {
+        let mut ps = ParamStore::new();
+        let emb = ps.add("emb", Tensor::ones(3, 2));
+        let record = |indices: &[usize]| {
+            let mut t = Tape::inference();
+            let e = t.param(&ps, emb);
+            let x = t.gather_rows(e, indices);
+            let root = t.sum_all(x);
+            (t, root)
+        };
+        let mut cache = OptimizerCache::default();
+        let (valid, root) = record(&[0, 2]);
+        optimize_with_cache(&mut cache, valid, root, &ps, &OptimizeConfig::hot());
+        assert_eq!(cache.len(), 1);
+        // Same plan signature as the cached entry: only the refusal keeps
+        // the bad index off the patch path.
+        let (bad, root) = record(&[0, 7]);
+        optimize_with_cache(&mut cache, bad, root, &ps, &OptimizeConfig::hot());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! [`ExecutionPlan::build_inference`] takes a tape recorded with
 //! [`Tape::inference`] (true shapes, no computed values) and an output node,
 //! runs a liveness analysis over the forward timeline, and assigns every
-//! intermediate value an offset inside one contiguous [`Arena`].
+//! intermediate value an offset inside one contiguous [`Arena`]. Deferred
+//! recording collects shape violations instead of panicking, so the planner
+//! and the executor refuse a tape that recorded one.
 //! [`ArenaExecutor`] then replays the plan per call: each op's value is
 //! written into its planned span by the same forward kernel the eager tape
 //! records with (`forward::eval`, one kernel per op), so a replay is
@@ -247,30 +249,19 @@ impl ExecutionPlan {
     /// consumer has run.
     ///
     /// # Panics
-    /// Panics if `output` is not on the tape, or if the tape was not
-    /// recorded with [`Tape::inference`]: shape-only tapes clamp shapes,
-    /// and eager tapes already hold their values and train through
-    /// `Tape::backward`.
+    /// Panics if `output` is not on the tape, if the tape was not recorded
+    /// with [`Tape::inference`] (eager tapes already hold their values and
+    /// train through `Tape::backward`), or if it recorded a shape
+    /// violation (with the first violation's message).
     pub fn build_inference(tape: &Tape, output: Var) -> ExecutionPlan {
         assert!(output.index() < tape.len(), "plan: output is not a node of this tape");
         assert!(
             tape.is_inference(),
             "plan: only inference tapes can be planned; record with Tape::inference"
         );
+        tape.assert_no_violations("plan");
         let n = output.index() + 1;
-
-        // Reachability: ancestors of the output through op inputs.
-        let mut reachable = vec![false; tape.len()];
-        let mut stack = vec![output.index()];
-        reachable[output.index()] = true;
-        while let Some(i) = stack.pop() {
-            for v in tape.op_at(i).inputs() {
-                if !reachable[v.index()] {
-                    reachable[v.index()] = true;
-                    stack.push(v.index());
-                }
-            }
-        }
+        let reachable = tape.ancestors(output);
 
         let is_leaf = |i: usize| matches!(tape.op_at(i), Op::Input | Op::Param(_));
 
@@ -461,8 +452,12 @@ impl ArenaExecutor {
     /// kernel.
     ///
     /// # Panics
-    /// Panics if `out.len()` differs from the element count of `output`.
+    /// Panics if `out.len()` differs from the element count of `output`, or
+    /// if the tape recorded a shape violation — checked on plan-cache hits
+    /// too, since a violation need not change the tape's shape signature
+    /// (an out-of-range `gather_rows` index keeps its output shape).
     pub fn infer_into(&mut self, tape: &Tape, output: Var, store: &ParamStore, out: &mut [f32]) {
+        tape.assert_no_violations("infer_into");
         let plan = Self::cached_plan(&mut self.plans, &mut self.sig, tape, output);
         self.arena.ensure_len(plan.arena_elems);
         run_forward(plan, tape, store, &mut self.arena, &mut self.moments);
@@ -755,12 +750,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only inference tapes can be planned")]
-    fn planning_a_shape_only_tape_panics() {
-        let mut t = Tape::shape_only();
-        let a = t.input(Tensor::zeros(2, 2));
-        let s = t.sum_all(a);
-        ExecutionPlan::build_inference(&t, s);
+    #[should_panic(expected = "infer_into: deferred tape has a shape violation at op #1 \
+                               (gather_rows): index 9 out of range for table (5, 4)")]
+    fn replaying_a_violating_deferred_tape_panics_on_a_plan_cache_hit() {
+        // An out-of-range gather index keeps the output shape, so the
+        // violating tape finds the valid tape's plan in the cache.
+        let ps = build_store(47);
+        let record = |indices: &[usize]| {
+            let mut t = Tape::inference();
+            let emb = t.param(&ps, pid(&ps, "emb"));
+            let x = t.gather_rows(emb, indices);
+            let s = t.sum_all(x);
+            (t, s)
+        };
+        let mut exec = ArenaExecutor::new();
+        let (valid, s) = record(&[0, 4]);
+        exec.infer(&valid, s, &ps);
+        let (bad, s) = record(&[0, 9]);
+        assert!(sig_matches(&bad, s, &exec.plans.values().next().expect("one plan").signature));
+        exec.infer(&bad, s, &ps);
     }
 
     #[test]

@@ -270,6 +270,33 @@ proptest! {
         prop_assert!(t.value(rr).allclose(t.value(r), 0.0));
         prop_assert!(t.value(r).as_slice().iter().all(|&v| v >= 0.0));
     }
+
+    /// Slicing a concatenation back apart returns each part bitwise.
+    #[test]
+    fn concat_then_slice_roundtrip(x in arb_tensor(5)) {
+        let u = x.map(|v| v + 2.0);
+        let (rows, cols) = x.shape();
+        let mut t = Tape::new();
+        let (a, b) = (t.input(x), t.input(u));
+        let cat = t.concat_cols(&[a, b]);
+        let left = t.slice_cols(cat, 0, cols);
+        let right = t.slice_cols(cat, cols, cols);
+        prop_assert!(t.value(left).allclose(t.value(a), 0.0));
+        prop_assert!(t.value(right).allclose(t.value(b), 0.0));
+        let vcat = t.concat_rows(&[a, b]);
+        let bottom = t.slice_rows(vcat, rows, rows);
+        prop_assert!(t.value(bottom).allclose(t.value(b), 0.0));
+    }
+
+    /// A one-index gather copies exactly that row of the table.
+    #[test]
+    fn gather_rows_picks_rows(x in arb_tensor(6), seed in 0usize..100) {
+        let idx = seed % x.rows();
+        let mut t = Tape::new();
+        let table = t.input(x);
+        let g = t.gather_rows(table, &[idx]);
+        prop_assert_eq!(t.value(g).row(0), t.value(table).row(idx));
+    }
 }
 
 proptest! {
@@ -411,7 +438,7 @@ proptest! {
             let mut ps = ParamStore::new();
             let a = ps.add("a", a_t.clone());
             let b = ps.add("b", b_t.clone());
-            let mut t = Tape::shape_only();
+            let mut t = Tape::inference();
             let av = t.param(&ps, a);
             let bv = t.param(&ps, b);
             let prod = match (fused, lhs_variant) {
@@ -630,7 +657,7 @@ proptest! {
         let hi = lo + width;
         let mut ps = ParamStore::new();
         let w = ps.add("w", Tensor::rand_uniform(rows, cols, lo as f32, hi as f32, &mut rng));
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let wv = t.param(&ps, w);
         let report = crate::absint::audit_graph(
             &t,

@@ -6,11 +6,12 @@
 //! propagating adjoints and accumulating parameter gradients into the
 //! [`ParamStore`].
 //!
-//! A tape can also be created with [`Tape::shape_only`]: recording then
-//! skips every kernel, derives output shapes from the pure rules in
-//! [`crate::analyze`], and collects shape-constraint failures as
-//! diagnostics instead of panicking — the substrate for pre-flight static
-//! analysis of a model's graph.
+//! A tape can also be created with [`Tape::inference`] (deferred mode):
+//! recording then skips every kernel, derives output shapes from the one
+//! per-op rule in [`crate::analyze`], and collects shape-constraint
+//! failures as diagnostics instead of panicking. The same deferred tape is
+//! the substrate for static analysis of a model's graph and, once it is
+//! free of violations, what the arena executor replays.
 //!
 //! Every op's backward rule is validated against finite differences by the
 //! `gradcheck` test module.
@@ -283,7 +284,6 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    shape_only: bool,
     inference: bool,
     optimized: bool,
     violations: Vec<ShapeViolation>,
@@ -295,41 +295,23 @@ impl Tape {
         Self::default()
     }
 
-    /// Creates a tape that records the graph without executing kernels.
+    /// Creates a deferred tape: ops record **true** shapes but no values.
     ///
-    /// Every non-leaf node's value is a zero placeholder of the inferred
-    /// shape; shape-constraint failures are collected (see
-    /// [`Self::shape_violations`]) instead of panicking, and recording
-    /// continues with a best-effort fallback shape so one pass surfaces
-    /// every wiring mistake.
-    pub fn shape_only() -> Self {
-        Self { shape_only: true, ..Self::default() }
-    }
-
-    /// Creates an eval-mode tape for the forward-only inference engine.
-    ///
-    /// Ops record **true** shapes but no values: non-leaf nodes hold
-    /// storage-free [`Tensor::placeholder`]s and the whole graph executes
-    /// later through an arena plan
-    /// ([`crate::ExecutionPlan::build_inference`]). Differences from
-    /// [`Self::shape_only`]: shapes are exact (no 1x1 clamping of degenerate
-    /// dims), a shape violation panics instead of being collected (an
-    /// invalid graph cannot be planned), and input tensors keep their real
-    /// data (the executor reads leaf values from the tape and the
-    /// [`ParamStore`]). The graph is a pure forward pass: dropout is elided
-    /// entirely (no mask sampled, no RNG consumed, matching eager eval mode
-    /// bitwise) and [`Self::backward`] is rejected.
+    /// Non-leaf nodes hold storage-free [`Tensor::placeholder`]s; `Input`
+    /// leaves keep their real data and parameters are read from the
+    /// [`ParamStore`] when the graph executes, later, through an arena plan
+    /// ([`crate::ExecutionPlan::build_inference`]). A shape violation is
+    /// collected (see [`Self::shape_violations`]) instead of panicking, and
+    /// recording continues with the rule's best-effort fallback shape so
+    /// one pass surfaces every wiring mistake; every consumer that executes
+    /// a deferred tape refuses one with a violation. Dropout in training
+    /// mode records its op with a placeholder mask and consumes no RNG;
+    /// [`Self::backward`] is rejected.
     pub fn inference() -> Self {
         Self { inference: true, ..Self::default() }
     }
 
-    /// `true` if this tape skips kernels and only tracks shapes.
-    pub fn is_shape_only(&self) -> bool {
-        self.shape_only
-    }
-
-    /// `true` if this tape records an eval-mode forward-only graph with
-    /// deferred values, for arena execution.
+    /// `true` if this tape defers its values (see [`Self::inference`]).
     pub fn is_inference(&self) -> bool {
         self.inference
     }
@@ -349,12 +331,43 @@ impl Tape {
     /// An empty tape in the same recording mode as `self` (the rewrite
     /// engine re-emits surviving ops into one of these).
     pub(crate) fn mode_like(&self) -> Self {
-        Self { shape_only: self.shape_only, inference: self.inference, ..Self::default() }
+        Self { inference: self.inference, ..Self::default() }
     }
 
-    /// Shape-constraint failures collected during shape-only recording.
+    /// Shape-constraint failures collected while recording a deferred
+    /// tape (always empty on eager tapes, which panic instead).
     pub fn shape_violations(&self) -> &[ShapeViolation] {
         &self.violations
+    }
+
+    /// Refuses to execute a tape that recorded a shape violation.
+    ///
+    /// # Panics
+    /// Panics with the first violation's message, prefixed by `who`.
+    pub(crate) fn assert_no_violations(&self, who: &str) {
+        if let Some(v) = self.violations.first() {
+            panic!("{who}: deferred tape has a shape violation at {v}");
+        }
+    }
+
+    /// `reached[i]` is `true` when node `i` is `root` or one of its
+    /// ancestors, i.e. its value can influence `root`'s. A `root` past the
+    /// end of the tape reaches nothing.
+    pub(crate) fn ancestors(&self, root: Var) -> Vec<bool> {
+        let mut reached = vec![false; self.nodes.len()];
+        if root.0 < self.nodes.len() {
+            reached[root.0] = true;
+            let mut stack = vec![root.0];
+            while let Some(i) = stack.pop() {
+                self.nodes[i].op.for_each_input(|v| {
+                    if !reached[v.0] {
+                        reached[v.0] = true;
+                        stack.push(v.0);
+                    }
+                });
+            }
+        }
+        reached
     }
 
     /// Number of recorded nodes.
@@ -367,7 +380,8 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// The forward value of `v` (a zero placeholder on shape-only tapes).
+    /// The forward value of `v` (a storage-free placeholder for non-`Input`
+    /// nodes of a deferred tape).
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
     }
@@ -498,35 +512,26 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
-    /// Records `op`. Its output shape comes from
-    /// [`analyze::infer_shape`], the one shape rule every recording mode
-    /// shares. Then, by mode:
+    /// Records `op`. Its output shape comes from [`analyze::op_rule`], the
+    /// one shape rule both recording modes share. Then, by mode:
     /// - **eager**: the shared forward kernel ([`crate::forward::eval`])
     ///   computes the value now;
-    /// - **inference**: a storage-free placeholder of the exact shape; the
-    ///   arena executor computes the value later with the same kernel;
-    /// - **shape-only**: a zero placeholder (degenerate dims clamped to 1)
-    ///   so downstream ops still see a shape.
+    /// - **deferred**: a storage-free placeholder of the exact shape; the
+    ///   arena executor computes the value later with the same kernel.
     ///
     /// # Panics
-    /// A shape violation panics on eager and inference tapes (an invalid
-    /// graph can be neither evaluated nor planned); shape-only tapes
-    /// collect it (see [`Self::shape_violations`]) and keep recording.
+    /// A shape violation panics on an eager tape (an invalid graph cannot be
+    /// evaluated); a deferred tape collects it (see
+    /// [`Self::shape_violations`]) and keeps recording.
     pub(crate) fn record(&mut self, op: Op) -> Var {
-        let ((rows, cols), violation) = analyze::infer_shape(self, &op);
+        let rule = analyze::op_rule(self, &op);
+        let (rows, cols) = rule.shape;
         let index = self.nodes.len();
-        if let Some(message) = violation {
-            assert!(
-                self.shape_only,
-                "{} tape op #{index} ({}): {message}",
-                if self.inference { "deferred" } else { "eager" },
-                op.name()
-            );
+        if let Some(message) = rule.violation {
+            assert!(self.inference, "eager tape op #{index} ({}): {message}", op.name());
             self.violations.push(ShapeViolation { op_index: index, op_name: op.name(), message });
         }
-        let value = if self.shape_only {
-            Tensor::zeros(rows.max(1), cols.max(1))
-        } else if self.inference {
+        let value = if self.inference {
             Tensor::placeholder(rows, cols)
         } else {
             let mut value = Tensor::zeros(rows, cols);
@@ -546,7 +551,7 @@ impl Tape {
 
     /// Records a constant input tensor.
     ///
-    /// Inputs keep their real data even on inference tapes: the arena
+    /// Inputs keep their real data even on deferred tapes: the arena
     /// executor reads leaf values straight from the tape.
     pub fn input(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Input)
@@ -761,21 +766,21 @@ impl Tape {
         self.record(Op::GatherRows { table, indices: indices.to_vec() })
     }
 
-    /// Inverted dropout. Identity when `train` is false or `p == 0`, and
-    /// always on inference tapes (eval mode never drops; like eager eval, no
-    /// RNG is consumed, so the streams stay aligned).
+    /// Inverted dropout. Identity when `train` is false or `p == 0` (no op
+    /// is recorded and no RNG is consumed). On a deferred tape in training
+    /// mode the op is recorded with a placeholder mask and no RNG is
+    /// consumed either: deferred training graphs are analysed, never
+    /// executed (the arena planner rejects dropout as a training op).
     pub fn dropout(&mut self, x: Var, p: f32, train: bool, rng: &mut impl Rng) -> Var {
-        if !train || p <= 0.0 || self.inference {
+        if !train || p <= 0.0 {
             return x;
         }
-        if self.shape_only {
-            // No mask is sampled: shape analysis must not consume the RNG
-            // stream or run kernels.
-            return self.record(Op::Dropout { x, mask: Tensor::zeros(1, 1) });
-        }
         assert!(p < 1.0, "dropout: p must be < 1");
-        let keep = 1.0 - p;
         let (rows, cols) = self.value(x).shape();
+        if self.inference {
+            return self.record(Op::Dropout { x, mask: Tensor::placeholder(rows, cols) });
+        }
+        let keep = 1.0 - p;
         let mut mask = Tensor::zeros(rows, cols);
         for m in mask.as_mut_slice() {
             if rng.gen::<f32>() < keep {
@@ -820,11 +825,10 @@ impl Tape {
     /// accumulating parameter gradients into `store`.
     ///
     /// # Panics
-    /// Panics if `loss` is not `1 x 1`, or if called on a shape-only or
-    /// inference tape (placeholder values have no gradients).
+    /// Panics if `loss` is not `1 x 1`, or if called on a deferred tape
+    /// (placeholder values have no gradients).
     pub fn backward(&self, loss: Var, store: &mut ParamStore) {
-        assert!(!self.shape_only, "backward: shape-only tapes record no values");
-        assert!(!self.inference, "backward: inference tapes record no values");
+        assert!(!self.inference, "backward: deferred tapes record no values");
         assert!(self.value(loss).is_scalar(), "backward: loss must be scalar");
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Tensor::scalar(1.0));
@@ -1215,8 +1219,8 @@ mod tests {
         assert!(t.is_inference());
         let mut rng = StdRng::seed_from_u64(7);
         let x = t.input(Tensor::ones(2, 4));
-        // Even with train=true, an inference tape records no dropout node...
-        let y = t.dropout(x, 0.5, true, &mut rng);
+        // In eval mode a deferred tape records no dropout node...
+        let y = t.dropout(x, 0.5, false, &mut rng);
         assert_eq!(y, x);
         assert_eq!(t.len(), 1);
         // ...and leaves the RNG stream untouched (matches eager eval mode).
@@ -1280,24 +1284,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shape-only tapes record no values")]
-    fn backward_rejects_shape_only_tapes() {
-        let mut ps = ParamStore::new();
-        let mut t = Tape::shape_only();
-        let x = t.input(Tensor::zeros(1, 1));
-        let loss = t.sum_all(x);
-        t.backward(loss, &mut ps);
-    }
-
-    #[test]
-    fn shape_only_dropout_keeps_shape_and_rng_stream() {
+    fn deferred_training_dropout_keeps_shape_and_rng_stream() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let x = t.input(Tensor::zeros(4, 6));
         let before = rng.clone();
         let y = t.dropout(x, 0.5, true, &mut rng);
+        assert_ne!(y, x, "training-mode dropout is recorded for analysis");
+        assert_eq!(t.op_name(y.index()), "dropout");
         assert_eq!(t.value(y).shape(), (4, 6));
-        assert_eq!(rng, before, "shape-only dropout must not consume the RNG");
+        assert!(t.value(y).is_placeholder());
+        assert_eq!(rng, before, "deferred dropout must not consume the RNG");
     }
 
     #[test]
@@ -1320,16 +1317,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deferred tape op")]
+    #[should_panic(expected = "op #2 (matmul): inner dimensions differ: (2, 3) x (4, 5)")]
     fn deferred_shape_violation_panics() {
+        // Recording collects the violation; planning the tape refuses it.
         let mut t = Tape::inference();
         let a = t.input(Tensor::ones(2, 3));
         let b = t.input(Tensor::ones(4, 5));
-        t.matmul(a, b);
+        let y = t.matmul(a, b);
+        assert_eq!(t.shape_violations().len(), 1);
+        crate::ExecutionPlan::build_inference(&t, y);
     }
 
     #[test]
-    #[should_panic(expected = "inference tapes record no values")]
+    #[should_panic(expected = "deferred tapes record no values")]
     fn backward_rejects_deferred_tapes() {
         let mut ps = ParamStore::new();
         let mut t = Tape::inference();
@@ -1391,7 +1391,6 @@ mod tests {
         t.input(Tensor::ones(1, 1));
         let fresh = t.mode_like();
         assert!(fresh.is_inference());
-        assert!(!fresh.is_shape_only());
         assert!(fresh.is_empty());
         assert!(!fresh.is_optimized());
     }

@@ -4,7 +4,7 @@
 //!
 //! 1. finite-difference gradient checking on an eager tape, proving the
 //!    graph the layer records is differentiable and correct;
-//! 2. the static analyzer on a shape-only tape, proving the same graph
+//! 2. the static analyzer on a deferred tape, proving the same graph
 //!    passes shape inference with no dead parameters or unused nodes.
 //!
 //! Together they pin down the contract the analyzer assumes: any graph a
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn assert_analyzer_clean(ps: &ParamStore, build: impl FnOnce(&mut Tape, &ParamStore) -> Var) {
-    let mut t = Tape::shape_only();
+    let mut t = Tape::inference();
     let loss = build(&mut t, ps);
     let report = analyze_graph(&t, loss, ps);
     assert!(report.is_clean(), "{report}");

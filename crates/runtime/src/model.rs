@@ -109,10 +109,11 @@ pub trait ErModel: Send + Sync {
     fn set_decision_threshold(&mut self, _threshold: f32) {}
 
     /// Rule-engine lint of the *inference* scoring graph under eval-mode
-    /// rules (`dropout-in-eval` et al.). Inference tapes elide dropout at
-    /// record time, so a clean report here certifies the session graph.
+    /// rules (`dropout-in-eval` et al.), recorded on the deferred tape mode
+    /// a session replays. Scoring records in eval mode, which elides
+    /// dropout, so a clean report here certifies the session graph.
     fn lint_inference(&self, ex: Example<'_>) -> LintReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let probs = self.record_scores(&mut t, ex);
         lint_graph(&t, probs, self.params(), &LintConfig::eval())
     }
@@ -122,9 +123,10 @@ pub trait ErModel: Send + Sync {
     /// findings, and the quantisation feasibility table, under the given
     /// seeding (symbolic input boxes, or [`AbsintConfig::weight_aware`]
     /// to read concrete per-parameter ranges from this model's store —
-    /// load a checkpoint first for weight-aware proofs).
+    /// load a checkpoint first for weight-aware proofs). The graph is
+    /// recorded on the deferred tape mode a session replays.
     fn audit(&self, ex: Example<'_>, cfg: &AbsintConfig) -> AuditReport {
-        let mut t = Tape::shape_only();
+        let mut t = Tape::inference();
         let probs = self.record_scores(&mut t, ex);
         audit_graph(&t, probs, self.params(), cfg)
     }

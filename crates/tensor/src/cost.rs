@@ -6,7 +6,7 @@
 //!   per call whether a parallel row split pays for its scheduling
 //!   overhead, and
 //! * the static tape analyzer in `hiergat-nn`, which sums the same
-//!   estimates over a shape-only graph to report per-model cost budgets
+//!   estimates over a deferred (value-free) graph to report per-model cost budgets
 //!   (`hiergat analyze`, training preflight, bench harnesses).
 //!
 //! Conventions: one fused multiply-add counts as 2 FLOPs; transcendental

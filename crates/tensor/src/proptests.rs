@@ -181,23 +181,6 @@ proptest! {
     }
 
     #[test]
-    fn concat_then_slice_roundtrip(t in arb_tensor(5)) {
-        let u = t.map(|v| v + 2.0);
-        let cat = Tensor::concat_cols(&[&t, &u]);
-        prop_assert!(cat.slice_cols(0, t.cols()).allclose(&t, 0.0));
-        prop_assert!(cat.slice_cols(t.cols(), u.cols()).allclose(&u, 0.0));
-        let vcat = Tensor::concat_rows(&[&t, &u]);
-        prop_assert!(vcat.slice_rows(t.rows(), u.rows()).allclose(&u, 0.0));
-    }
-
-    #[test]
-    fn gather_rows_picks_rows(t in arb_tensor(6), seed in 0usize..100) {
-        let idx = seed % t.rows();
-        let g = t.gather_rows(&[idx]);
-        prop_assert_eq!(g.row(0), t.row(idx));
-    }
-
-    #[test]
     fn parallel_matmul_family_is_bitwise_serial((a, b) in arb_wide_matmul_pair()) {
         let mm_ref = a.matmul_serial(&b);
         let at = a.transpose();

@@ -1,47 +1,8 @@
-//! Structural operations: concatenation, slicing, row gathering/scattering.
+//! Structural operations: slicing, row scattering and stacking.
 
 use crate::Tensor;
 
 impl Tensor {
-    /// Concatenates tensors horizontally (same row count).
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or the row counts differ.
-    pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_cols: no parts");
-        let rows = parts[0].rows();
-        let cols: usize = parts.iter().map(|p| p.cols()).sum();
-        for p in parts {
-            assert_eq!(p.rows(), rows, "concat_cols: row mismatch");
-        }
-        let mut out = Tensor::zeros(rows, cols);
-        for i in 0..rows {
-            let dst = out.row_mut(i);
-            let mut off = 0;
-            for p in parts {
-                let src = p.row(i);
-                dst[off..off + src.len()].copy_from_slice(src);
-                off += src.len();
-            }
-        }
-        out
-    }
-
-    /// Concatenates tensors vertically (same column count).
-    pub fn concat_rows(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_rows: no parts");
-        let cols = parts[0].cols();
-        let rows: usize = parts.iter().map(|p| p.rows()).sum();
-        for p in parts {
-            assert_eq!(p.cols(), cols, "concat_rows: column mismatch");
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            data.extend_from_slice(p.as_slice());
-        }
-        Tensor::from_vec(rows, cols, data).expect("concat_rows computed shape")
-    }
-
     /// Copies columns `[start, start + len)` into a new tensor.
     pub fn slice_cols(&self, start: usize, len: usize) -> Tensor {
         assert!(
@@ -72,23 +33,10 @@ impl Tensor {
         out
     }
 
-    /// Gathers rows by index: `out[i] = self[indices[i]]`.
-    ///
-    /// This is the embedding-lookup primitive; its adjoint is
-    /// [`Tensor::scatter_add_rows`].
-    pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(indices.len(), self.cols());
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < self.rows(), "gather_rows: index {idx} out of 0..{}", self.rows());
-            out.row_mut(i).copy_from_slice(self.row(idx));
-        }
-        out
-    }
-
     /// Scatter-add: `self[indices[i]] += src[i]` for every row of `src`.
     ///
     /// Duplicated indices accumulate, which is exactly the gradient rule for
-    /// embedding lookups with repeated tokens.
+    /// embedding lookups (the tape's `gather_rows`) with repeated tokens.
     pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Tensor) {
         assert_eq!(indices.len(), src.rows(), "scatter_add_rows: index count mismatch");
         assert_eq!(self.cols(), src.cols(), "scatter_add_rows: column mismatch");
@@ -125,24 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_cols_layout() {
-        let (a, b) = ab();
-        let c = Tensor::concat_cols(&[&a, &b]);
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.row(0), &[1.0, 2.0, 5.0]);
-        assert_eq!(c.row(1), &[3.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn concat_rows_layout() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0]]);
-        let b = Tensor::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let c = Tensor::concat_rows(&[&a, &b]);
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
     fn slices_are_views_copied() {
         let (a, _) = ab();
         assert_eq!(a.slice_cols(1, 1).as_slice(), &[2.0, 4.0]);
@@ -157,13 +87,16 @@ mod tests {
 
     #[test]
     fn gather_then_scatter_roundtrip() {
+        // The gather itself is a tape op (its layout test lives in `nn`);
+        // here rows are picked by hand and scattered back.
+        let idx = [2, 0, 2];
         let table = Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![2.0, 2.0]]);
-        let picked = table.gather_rows(&[2, 0, 2]);
+        let picked = Tensor::stack_rows(3, 2, |i| table.row(idx[i]).to_vec());
         assert_eq!(picked.row(0), &[2.0, 2.0]);
         assert_eq!(picked.row(1), &[1.0, 0.0]);
 
         let mut grad = Tensor::zeros(3, 2);
-        grad.scatter_add_rows(&[2, 0, 2], &Tensor::ones(3, 2));
+        grad.scatter_add_rows(&idx, &Tensor::ones(3, 2));
         assert_eq!(grad.row(0), &[1.0, 1.0]);
         assert_eq!(grad.row(1), &[0.0, 0.0]);
         assert_eq!(grad.row(2), &[2.0, 2.0]); // duplicate index accumulated

@@ -48,7 +48,7 @@ fn run_all(width: usize) {
             // The optimised graph stays lint-clean at deny-warn: applying
             // the linter's own fix-it rewrites cannot re-introduce
             // diagnostics.
-            let mut t = Tape::shape_only();
+            let mut t = Tape::inference();
             let probs = model.record_scores(&mut t, example);
             let opt = optimize(&t, probs, model.params(), &OptimizeConfig::default());
             let lint = lint_graph(&opt.tape, opt.root, model.params(), &LintConfig::eval());
