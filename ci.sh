@@ -92,13 +92,15 @@ echo "==> HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd --tes
 HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd \
   --test arena_zero_alloc --test runtime_conformance
 
-# Optimiser differential gate: for every builtin model, the certified
-# tape optimiser must produce graphs whose session scores are bitwise
-# identical to the unoptimised eager path, with every rewrite certificate
-# valid and the optimised graphs lint-clean — under a real 1-wide and a
-# real 8-wide pool, and again under the simd microkernel tile (whose FMA
-# values differ from the portable build, so equality must hold *within*
-# each build).
+# Optimiser differential gate: for every builtin model, every rewrite of
+# the certified tape optimiser must carry a valid certificate, the
+# optimised graph must lint clean, the session (which replays the graph as
+# recorded) must score bitwise like the eager path, and the recorded
+# inference graph must be a fixed point of the optimiser (the models
+# record each value once, so nothing is left to remove) — under a real
+# 1-wide and a real 8-wide pool, and again under the simd microkernel tile
+# (whose FMA values differ from the portable build, so equality must hold
+# *within* each build).
 echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test optimize_differential"
 HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test optimize_differential
 
@@ -112,9 +114,9 @@ HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd --test optimize
 # absint feasibility table must hold Magellan F1 within the configured
 # delta of its f32 session, shrink the weight bytes, and score graph
 # geometries unseen at quantise time bitwise-equal to eager prediction
-# on the snapped weights across pool widths and optimiser settings —
-# under a real 1-wide and a real 8-wide pool, and again under the simd
-# build (whose FMA microkernel tile must hold the same equalities).
+# on the snapped weights across pool widths — under a real 1-wide and a
+# real 8-wide pool, and again under the simd build (whose FMA microkernel
+# tile must hold the same equalities).
 echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test quantise_acceptance"
 HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test quantise_acceptance
 
@@ -185,7 +187,7 @@ echo "==> hiergat quantise"
   --dataset fodors-zagats --scale 0.2 --tier dbert
 
 # Translation-validation gate: every builtin model graph must optimise
-# with valid shape + interval certificates, and the optimised session must
+# with valid shape + interval certificates, and the session must
 # reproduce eager predictions bitwise (`--verify` runs the differential).
 echo "==> hiergat optimize --verify"
 ./target/release/hiergat optimize \

@@ -8,7 +8,9 @@
 
 use crate::traits::PairModel;
 use hiergat_data::EntityPair;
-use hiergat_nn::{Adam, GruCell, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{
+    Adam, GruCell, GruInput, GruState, Linear, Memo, Optimizer, ParamStore, Tape, Var,
+};
 use hiergat_tensor::Tensor;
 use hiergat_text::{tokenize, StaticHashEmbedding};
 use rand::rngs::StdRng;
@@ -34,6 +36,34 @@ pub struct DeepMatcherConfig {
 impl Default for DeepMatcherConfig {
     fn default() -> Self {
         Self { d_emb: 32, d_hidden: 32, epochs: 10, lr: 1e-3, seed: 0xd33b, max_tokens: 24 }
+    }
+}
+
+/// What one DeepMatcher graph records once. Token rows are shared in every
+/// graph (inputs carry no gradient); the rest is shared in eval-mode graphs
+/// only (see [`Memo`]): GRU input projections per row, recurrent
+/// projections per state, steps per (row, state) — so values with a common
+/// token prefix share those states — whole values, and attribute
+/// comparisons.
+struct Shared {
+    rows: Memo<String>,
+    projected: Memo<Var, GruInput>,
+    recurrent: Memo<Var, GruState>,
+    steps: Memo<(Var, Var)>,
+    values: Memo<String>,
+    compared: Memo<(Var, Var)>,
+}
+
+impl Shared {
+    fn new(train: bool) -> Self {
+        Self {
+            rows: Memo::new(true),
+            projected: Memo::new(!train),
+            recurrent: Memo::new(!train),
+            steps: Memo::new(!train),
+            values: Memo::new(!train),
+            compared: Memo::new(!train),
+        }
     }
 }
 
@@ -70,37 +100,51 @@ impl DeepMatcher {
         Self { cfg, ps, emb, gru, cls_hidden, cls_out, opt, arity }
     }
 
-    fn encode_value(&self, t: &mut Tape, value: &str) -> Var {
-        let mut tokens = tokenize(value);
-        tokens.truncate(self.cfg.max_tokens);
-        if tokens.is_empty() {
-            return t.input(Tensor::zeros(1, self.cfg.d_hidden));
-        }
-        let seq = t.input(self.emb.embed_sequence(&tokens));
-        let states = self.gru.run(t, &self.ps, seq);
-        let n = t.value(states).rows();
-        t.slice_rows(states, n - 1, 1) // final hidden state
+    /// Encodes one attribute value: the GRU's final hidden state over its
+    /// token embeddings.
+    fn encode_value(&self, t: &mut Tape, value: &str, m: &mut Shared) -> Var {
+        let Shared { rows, projected, recurrent, steps, values, .. } = m;
+        values.get_or_record(value.to_string(), |value| {
+            let mut tokens = tokenize(value);
+            tokens.truncate(self.cfg.max_tokens);
+            if tokens.is_empty() {
+                return t.fill(1, self.cfg.d_hidden, 0.0);
+            }
+            let mut h = self.gru.zero_state(t);
+            for token in &tokens {
+                let x = rows.get_or_record(token.clone(), |token| {
+                    t.input(Tensor::row_vector(&self.emb.embed(token)))
+                });
+                let x_proj = projected.get_or_record(x, |&x| self.gru.project(t, &self.ps, x));
+                let from = recurrent.get_or_record(h, |&h| self.gru.state(t, &self.ps, h));
+                h = steps.get_or_record((x, h), |_| self.gru.step_from(t, &self.ps, x_proj, from));
+            }
+            h
+        })
     }
 
-    fn forward(&self, t: &mut Tape, pair: &EntityPair) -> Var {
+    fn forward(&self, t: &mut Tape, pair: &EntityPair, train: bool) -> Var {
+        let mut m = Shared::new(train);
         let mut comparisons = Vec::with_capacity(self.arity);
         for k in 0..self.arity {
             let lv = pair.left.attrs.get(k).map_or("", |(_, v)| v.as_str());
             let key = pair.left.attrs.get(k).map_or("", |(k, _)| k.as_str());
             let rv = pair.right.attr(key).unwrap_or("");
-            let hl = self.encode_value(t, lv);
-            let hr = self.encode_value(t, rv);
-            let diff = {
-                let d = t.sub(hl, hr);
-                let pos = t.relu(d);
-                let neg = {
-                    let nd = t.scale(d, -1.0);
-                    t.relu(nd)
+            let hl = self.encode_value(t, lv, &mut m);
+            let hr = self.encode_value(t, rv, &mut m);
+            comparisons.push(m.compared.get_or_record((hl, hr), |_| {
+                let diff = {
+                    let d = t.sub(hl, hr);
+                    let pos = t.relu(d);
+                    let neg = {
+                        let nd = t.scale(d, -1.0);
+                        t.relu(nd)
+                    };
+                    t.add(pos, neg) // |hl - hr|
                 };
-                t.add(pos, neg) // |hl - hr|
-            };
-            let prod = t.mul(hl, hr);
-            comparisons.push(t.concat_cols(&[hl, hr, diff, prod]));
+                let prod = t.mul(hl, hr);
+                t.concat_cols(&[hl, hr, diff, prod])
+            }));
         }
         let features = t.concat_cols(&comparisons);
         let h = self.cls_hidden.forward(t, &self.ps, features);
@@ -113,7 +157,7 @@ impl DeepMatcher {
     /// node liveness.
     pub fn analyze(&self, pair: &EntityPair) -> hiergat_nn::GraphReport {
         let mut t = Tape::inference();
-        let logits = self.forward(&mut t, pair);
+        let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::analyze_graph(&t, loss, &self.ps)
     }
@@ -122,17 +166,17 @@ impl DeepMatcher {
     /// graph (deferred tape, training mode).
     pub fn lint(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
         let mut t = Tape::inference();
-        let logits = self.forward(&mut t, pair);
+        let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::lint_graph(&t, loss, &self.ps, &hiergat_nn::LintConfig::training())
     }
 
     /// Records the eval-mode scoring graph onto `t` — exactly the graph
-    /// [`PairModel::predict_pair`] evaluates (DeepMatcher has no dropout, so
-    /// eval and train graphs coincide) — and returns the `1 x 2` probability
-    /// node.
+    /// [`PairModel::predict_pair`] evaluates (DeepMatcher has no dropout; the
+    /// eval graph differs from the training graph only in recording repeated
+    /// values once) — and returns the `1 x 2` probability node.
     pub fn record_pair_scores(&self, t: &mut Tape, pair: &EntityPair) -> Var {
-        let logits = self.forward(t, pair);
+        let logits = self.forward(t, pair, false);
         t.softmax(logits)
     }
 }
@@ -147,7 +191,7 @@ impl PairModel for DeepMatcher {
         // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
         let mut t = Tape::new();
-        let logits = self.forward(&mut t, pair);
+        let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[weight]);
         let val = t.value(loss).item();
         t.backward(loss, &mut self.ps);

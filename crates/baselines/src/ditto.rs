@@ -90,7 +90,8 @@ impl Ditto {
 
     fn forward_rng(&self, t: &mut Tape, pair: &EntityPair, train: bool, rng: &mut StdRng) -> Var {
         let ids = self.serialize(pair);
-        let h = self.lm.encode_ids(t, &self.ps, &ids, train, rng);
+        let embedded = self.lm.embed_ids(t, &self.ps, &ids);
+        let h = self.lm.encode_embedded(t, &self.ps, embedded, train, rng);
         let n = t.value(h).rows();
         let cls = t.row(h, 0);
         // Segment pooling over the *input* token embeddings (not the encoder
@@ -101,11 +102,14 @@ impl Ditto {
         let sep_id = self.lm.vocab().special(hiergat_text::Special::Sep);
         let first_sep =
             ids.iter().take(n).position(|&i| i == sep_id).unwrap_or(n.saturating_sub(1)).max(1);
-        let raw = self.lm.embed_ids(t, &self.ps, &ids);
+        // An eval-mode graph pools the encoder's own input rows; training
+        // gathers them again, so the encoder and the pooling send their
+        // gradients into the embedding table separately.
+        let raw = if train { self.lm.embed_ids(t, &self.ps, &ids) } else { embedded };
         let d_model = self.lm.config().d_model;
         let pool = |t: &mut Tape, start: usize, len: usize| -> Var {
             if len == 0 || start >= n {
-                t.input(hiergat_tensor::Tensor::zeros(1, d_model))
+                t.fill(1, d_model, 0.0)
             } else {
                 let len = len.min(n - start);
                 let seg = t.slice_rows(raw, start, len);
@@ -118,8 +122,8 @@ impl Ditto {
         // [CLS] row is O(1); normalize the segment vectors so the comparison
         // features carry weight in the head from step one instead of being
         // drowned out.
-        let ones = t.input(hiergat_tensor::Tensor::full(1, d_model, 1.0));
-        let zeros = t.input(hiergat_tensor::Tensor::zeros(1, d_model));
+        let ones = t.fill(1, d_model, 1.0);
+        let zeros = t.fill(1, d_model, 0.0);
         let u = t.layer_norm(u, ones, zeros, 1e-5);
         let v = t.layer_norm(v, ones, zeros, 1e-5);
         let diff = {

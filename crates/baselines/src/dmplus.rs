@@ -9,8 +9,7 @@
 use crate::traits::PairModel;
 use hiergat_data::EntityPair;
 use hiergat_graph::GraphAttn;
-use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
-use hiergat_tensor::Tensor;
+use hiergat_nn::{Adam, Linear, Memo, Optimizer, ParamStore, Tape, Var};
 use hiergat_text::{tokenize, StaticHashEmbedding};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +32,21 @@ pub struct DmPlusConfig {
 impl Default for DmPlusConfig {
     fn default() -> Self {
         Self { d: 32, epochs: 10, lr: 1e-3, seed: 0xd3b5, max_tokens: 24 }
+    }
+}
+
+/// What one DM+ graph records once (see [`Memo`]): value embeddings in
+/// every graph (inputs carry no gradient); projected values and whole
+/// attribute comparisons in eval-mode graphs only.
+struct Shared {
+    raw: Memo<Vec<String>>,
+    projected: Memo<Var>,
+    compared: Memo<(String, String)>,
+}
+
+impl Shared {
+    fn new(train: bool) -> Self {
+        Self { raw: Memo::new(true), projected: Memo::new(!train), compared: Memo::new(!train) }
     }
 }
 
@@ -65,29 +79,36 @@ impl DmPlus {
     }
 
     /// Token-level alignment comparison of one attribute pair.
-    fn compare_attr(&self, t: &mut Tape, lv: &str, rv: &str) -> Var {
-        let mut lt = tokenize(lv);
-        let mut rt = tokenize(rv);
-        lt.truncate(self.cfg.max_tokens);
-        rt.truncate(self.cfg.max_tokens);
-        if lt.is_empty() || rt.is_empty() {
-            return t.input(Tensor::zeros(1, self.cfg.d));
-        }
-        let l_raw = t.input(self.emb.embed_sequence(&lt));
-        let r_raw = t.input(self.emb.embed_sequence(&rt));
-        let l = {
-            let p = self.proj.forward(t, &self.ps, l_raw);
-            t.tanh(p)
-        };
-        let r = {
-            let p = self.proj.forward(t, &self.ps, r_raw);
-            t.tanh(p)
-        };
-        // Cross attention: each left token attends over right tokens.
+    fn compare_attr(&self, t: &mut Tape, lv: &str, rv: &str, m: &mut Shared) -> Var {
+        let Shared { raw, projected, compared } = m;
+        compared.get_or_record((lv.to_string(), rv.to_string()), |(lv, rv)| {
+            let mut lt = tokenize(lv);
+            let mut rt = tokenize(rv);
+            lt.truncate(self.cfg.max_tokens);
+            rt.truncate(self.cfg.max_tokens);
+            if lt.is_empty() || rt.is_empty() {
+                return t.fill(1, self.cfg.d, 0.0);
+            }
+            let mut project = |t: &mut Tape, tokens: Vec<String>| {
+                let x =
+                    raw.get_or_record(tokens, |tokens| t.input(self.emb.embed_sequence(tokens)));
+                projected.get_or_record(x, |&x| {
+                    let p = self.proj.forward(t, &self.ps, x);
+                    t.tanh(p)
+                })
+            };
+            let l = project(t, lt);
+            let r = project(t, rt);
+            self.align_tokens(t, l, r)
+        })
+    }
+
+    /// `mean |L - attend(L, R)|`: each left token attends over the right
+    /// tokens, and the comparison is averaged over the left tokens.
+    fn align_tokens(&self, t: &mut Tape, l: Var, r: Var) -> Var {
         let scores = t.matmul_nt(l, r); // n x m
         let att = t.softmax(scores);
         let aligned = t.matmul(att, r); // n x d
-                                        // Elementwise comparison |L - aligned| averaged over tokens.
         let diff = {
             let d = t.sub(l, aligned);
             let pos = t.relu(d);
@@ -98,13 +119,14 @@ impl DmPlus {
         t.mean_rows(diff)
     }
 
-    fn forward(&self, t: &mut Tape, pair: &EntityPair) -> Var {
+    fn forward(&self, t: &mut Tape, pair: &EntityPair, train: bool) -> Var {
+        let mut m = Shared::new(train);
         let mut comps = Vec::with_capacity(self.arity);
         for k in 0..self.arity {
             let (key, lv) =
                 pair.left.attrs.get(k).map_or(("", ""), |(k, v)| (k.as_str(), v.as_str()));
             let rv = pair.right.attr(key).unwrap_or("");
-            comps.push(self.compare_attr(t, lv, rv));
+            comps.push(self.compare_attr(t, lv, rv, &mut m));
         }
         // Hierarchical aggregation: attention over attribute comparisons.
         let stacked = t.concat_rows(&comps);
@@ -119,7 +141,7 @@ impl DmPlus {
     /// node liveness.
     pub fn analyze(&self, pair: &EntityPair) -> hiergat_nn::GraphReport {
         let mut t = Tape::inference();
-        let logits = self.forward(&mut t, pair);
+        let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::analyze_graph(&t, loss, &self.ps)
     }
@@ -128,17 +150,17 @@ impl DmPlus {
     /// graph (deferred tape, training mode).
     pub fn lint(&self, pair: &EntityPair) -> hiergat_nn::LintReport {
         let mut t = Tape::inference();
-        let logits = self.forward(&mut t, pair);
+        let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[1.0]);
         hiergat_nn::lint_graph(&t, loss, &self.ps, &hiergat_nn::LintConfig::training())
     }
 
     /// Records the eval-mode scoring graph onto `t` — exactly the graph
-    /// [`PairModel::predict_pair`] evaluates (DM+ has no dropout, so eval
-    /// and train graphs coincide) — and returns the `1 x 2` probability
-    /// node.
+    /// [`PairModel::predict_pair`] evaluates (DM+ has no dropout; the eval
+    /// graph differs from the training graph only in recording repeated
+    /// values once) — and returns the `1 x 2` probability node.
     pub fn record_pair_scores(&self, t: &mut Tape, pair: &EntityPair) -> Var {
-        let logits = self.forward(t, pair);
+        let logits = self.forward(t, pair, false);
         t.softmax(logits)
     }
 }
@@ -153,7 +175,7 @@ impl PairModel for DmPlus {
         // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
         let mut t = Tape::new();
-        let logits = self.forward(&mut t, pair);
+        let logits = self.forward(&mut t, pair, true);
         let loss = t.weighted_cross_entropy_logits(logits, &[usize::from(pair.label)], &[weight]);
         let val = t.value(loss).item();
         t.backward(loss, &mut self.ps);

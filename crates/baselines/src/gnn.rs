@@ -9,7 +9,7 @@
 use crate::traits::CollectiveErModel;
 use hiergat_data::CollectiveExample;
 use hiergat_graph::{GatLayer, GcnLayer, GraphAttn, Hhg};
-use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Linear, Memo, Optimizer, ParamStore, Tape, Var};
 use hiergat_tensor::Tensor;
 use hiergat_text::HashVocab;
 use rand::rngs::StdRng;
@@ -107,21 +107,15 @@ impl GnnCollective {
         self.kind
     }
 
-    /// Mean of gathered rows (helper for node-feature initialization).
-    fn mean_rows_of(&self, t: &mut Tape, src: Var, idx: &[usize]) -> Var {
-        if idx.is_empty() {
-            return t.input(Tensor::zeros(1, self.cfg.d));
-        }
-        let rows = t.gather_rows(src, idx);
-        let sum = t.sum_rows(rows);
-        t.scale(sum, 1.0 / idx.len() as f32)
-    }
-
-    /// Computes entity representations (one `1 x d` row per entity).
-    fn entity_reprs(&self, t: &mut Tape, g: &Hhg) -> Vec<Var> {
+    /// Computes entity representations (one `1 x d` row per entity). In an
+    /// eval-mode graph (`train == false`), attributes with equal token
+    /// sequences and entities with equal attribute rows are computed once
+    /// (see [`Memo`]).
+    fn entity_reprs(&self, t: &mut Tape, g: &Hhg, train: bool) -> Vec<Var> {
         let ids: Vec<usize> = g.tokens.iter().map(|tok| self.vocab.id(tok)).collect();
         let table = t.param(&self.ps, self.emb);
         let tok_feats = t.gather_rows(table, &ids);
+        let (mut attrs, mut entities) = (Memo::new(!train), Memo::new(!train));
 
         match &self.layers {
             Layers::Hgat(tok2attr, attr2ent) => {
@@ -131,19 +125,22 @@ impl GnnCollective {
                     .iter()
                     .map(|a| {
                         if a.token_seq.is_empty() {
-                            t.input(Tensor::zeros(1, self.cfg.d))
-                        } else {
-                            let v = t.gather_rows(tok_feats, &a.token_seq);
-                            tok2attr.forward(t, &self.ps, v)
+                            return t.fill(1, self.cfg.d, 0.0);
                         }
+                        attrs.get_or_record(a.token_seq.as_slice(), |seq| {
+                            let v = t.gather_rows(tok_feats, seq);
+                            tok2attr.forward(t, &self.ps, v)
+                        })
                     })
                     .collect();
                 g.entities
                     .iter()
                     .map(|e| {
                         let rows: Vec<Var> = e.attr_nodes.iter().map(|&ai| attr_embs[ai]).collect();
-                        let stacked = t.concat_rows(&rows);
-                        attr2ent.forward(t, &self.ps, stacked)
+                        entities.get_or_record(rows, |rows| {
+                            let stacked = t.concat_rows(rows);
+                            attr2ent.forward(t, &self.ps, stacked)
+                        })
                     })
                     .collect()
             }
@@ -154,19 +151,26 @@ impl GnnCollective {
                 let attr_rows: Vec<Var> = g
                     .attributes
                     .iter()
-                    .map(|a| self.mean_rows_of(t, tok_feats, &a.token_seq))
+                    .map(|a| {
+                        if a.token_seq.is_empty() {
+                            return t.fill(1, self.cfg.d, 0.0);
+                        }
+                        attrs.get_or_record(a.token_seq.as_slice(), |seq| {
+                            let rows = t.gather_rows(tok_feats, seq);
+                            t.mean_rows(rows)
+                        })
+                    })
                     .collect();
                 let nt = g.n_tokens();
                 let entity_rows: Vec<Var> = g
                     .entities
                     .iter()
                     .map(|e| {
-                        let idx: Vec<usize> = (0..e.attr_nodes.len()).collect();
-                        let rows: Vec<Var> =
-                            idx.iter().map(|&i| attr_rows[e.attr_nodes[i]]).collect();
-                        let stacked = t.concat_rows(&rows);
-                        let sum = t.sum_rows(stacked);
-                        t.scale(sum, 1.0 / rows.len().max(1) as f32)
+                        let rows: Vec<Var> = e.attr_nodes.iter().map(|&ai| attr_rows[ai]).collect();
+                        entities.get_or_record(rows, |rows| {
+                            let stacked = t.concat_rows(rows);
+                            t.mean_rows(stacked)
+                        })
                     })
                     .collect();
                 let mut parts: Vec<Var> = vec![tok_feats];
@@ -175,9 +179,9 @@ impl GnnCollective {
                 let x = t.concat_rows(&parts);
                 let h = match &self.layers {
                     Layers::Gcn(l1, l2) => {
-                        let na = GcnLayer::normalized_adjacency(&adj);
-                        let h = l1.forward(t, &self.ps, x, &na);
-                        l2.forward(t, &self.ps, h, &na)
+                        let na = t.input(GcnLayer::normalized_adjacency(&adj));
+                        let h = l1.forward(t, &self.ps, x, na);
+                        l2.forward(t, &self.ps, h, na)
                     }
                     Layers::Gat(l1, l2) => {
                         let h = l1.forward(t, &self.ps, x, &adj);
@@ -191,28 +195,33 @@ impl GnnCollective {
         }
     }
 
-    fn forward(&self, t: &mut Tape, ex: &CollectiveExample) -> Var {
+    fn forward(&self, t: &mut Tape, ex: &CollectiveExample, train: bool) -> Var {
         let mut entities = Vec::with_capacity(1 + ex.candidates.len());
         entities.push(ex.query.clone());
         entities.extend(ex.candidates.iter().cloned());
         let g = Hhg::from_entities(&entities);
-        let reprs = self.entity_reprs(t, &g);
+        let reprs = self.entity_reprs(t, &g, train);
         let q = reprs[0];
-        let mut rows = Vec::with_capacity(ex.candidates.len());
-        for ci in 0..ex.candidates.len() {
-            let c = reprs[ci + 1];
-            let diff = {
-                let d = t.sub(q, c);
-                let pos = t.relu(d);
-                let nd = t.scale(d, -1.0);
-                let neg = t.relu(nd);
-                t.add(pos, neg)
-            };
-            let feats = t.concat_cols(&[q, c, diff]);
-            let h = self.cls_hidden.forward(t, &self.ps, feats);
-            let h = t.relu(h);
-            rows.push(self.cls_out.forward(t, &self.ps, h));
-        }
+        // Candidates with the same representation node share a logits row.
+        let mut classified = Memo::new(!train);
+        let rows: Vec<Var> = reprs[1..]
+            .iter()
+            .map(|&c| {
+                classified.get_or_record(c, |&c| {
+                    let diff = {
+                        let d = t.sub(q, c);
+                        let pos = t.relu(d);
+                        let nd = t.scale(d, -1.0);
+                        let neg = t.relu(nd);
+                        t.add(pos, neg)
+                    };
+                    let feats = t.concat_cols(&[q, c, diff]);
+                    let h = self.cls_hidden.forward(t, &self.ps, feats);
+                    let h = t.relu(h);
+                    self.cls_out.forward(t, &self.ps, h)
+                })
+            })
+            .collect();
         t.concat_rows(&rows)
     }
 
@@ -221,7 +230,7 @@ impl GnnCollective {
     /// liveness, plus HHG builder validation.
     pub fn analyze(&self, ex: &CollectiveExample) -> hiergat_nn::GraphReport {
         let mut t = Tape::inference();
-        let logits = self.forward(&mut t, ex);
+        let logits = self.forward(&mut t, ex, true);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights = vec![1.0; targets.len()];
         let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);
@@ -237,7 +246,7 @@ impl GnnCollective {
     /// graph (deferred tape, training mode).
     pub fn lint(&self, ex: &CollectiveExample) -> hiergat_nn::LintReport {
         let mut t = Tape::inference();
-        let logits = self.forward(&mut t, ex);
+        let logits = self.forward(&mut t, ex, true);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights = vec![1.0; targets.len()];
         let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);
@@ -246,10 +255,11 @@ impl GnnCollective {
 
     /// Records the eval-mode scoring graph onto `t` — exactly the graph
     /// [`CollectiveErModel::predict_example`] evaluates (the GNN baselines
-    /// have no dropout, so eval and train graphs coincide) — and returns the
-    /// `n_candidates x 2` probability node.
+    /// have no dropout, so it differs from the training graph only in
+    /// recording repeated values once) — and returns the `n_candidates x 2`
+    /// probability node.
     pub fn record_example_scores(&self, t: &mut Tape, ex: &CollectiveExample) -> Var {
-        let logits = self.forward(t, ex);
+        let logits = self.forward(t, ex, false);
         t.softmax(logits)
     }
 }
@@ -264,7 +274,7 @@ impl CollectiveErModel for GnnCollective {
         // the step's clipped gradients observable to callers and tests.
         self.ps.zero_grad();
         let mut t = Tape::new();
-        let logits = self.forward(&mut t, ex);
+        let logits = self.forward(&mut t, ex, true);
         let targets: Vec<usize> = ex.labels.iter().map(|&l| usize::from(l)).collect();
         let weights: Vec<f32> = ex.labels.iter().map(|&l| if l { weight } else { 1.0 }).collect();
         let loss = t.weighted_cross_entropy_logits(logits, &targets, &weights);

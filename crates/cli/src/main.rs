@@ -43,10 +43,11 @@
 //! * `optimize [--dataset amazon-google] [--scale 0.5] [--json] [--verify]`
 //!   runs the certified tape optimiser (DCE / CSE / constant folding /
 //!   fusion) over each model's inference scoring graph and prints the
-//!   node / FLOP / arena-byte deltas plus per-rewrite certificate tallies.
+//!   node / FLOP / arena-byte deltas plus per-rewrite certificate tallies
+//!   (the models record each value once, so every delta should be zero).
 //!   `--verify` additionally proves interval containment for every rewrite
-//!   and differentially checks the optimised session against eager
-//!   prediction (bitwise), failing if either check does.
+//!   and checks the session against eager prediction (bitwise), failing if
+//!   either check does.
 //! * `quantise [--dataset amazon-google] [--scale 0.5] [--delta 0.05]
 //!   [--input-bound B] [--report] [--json]`
 //!   quantises every registry model's scoring session post-training,
@@ -216,6 +217,33 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     // The session scores through cached forward-only arena plans (bitwise
     // identical to the eager path) and carries the checkpoint's
     // validation-tuned threshold; `--threshold` overrides it.
+    // A row whose attribute counts the checkpoint's model cannot record
+    // would only fail inside the session. Recording one deferred graph per
+    // distinct (left, right) count finds such a row before anything runs.
+    let mut checked = std::collections::HashSet::new();
+    for (row, pair) in pairs.iter().enumerate() {
+        let counts = (pair.left.attrs.len(), pair.right.attrs.len());
+        if !checked.insert(counts) {
+            continue;
+        }
+        let mut t = hiergat_nn::Tape::inference();
+        model.record_pair_scores(&mut t, pair);
+        if let Some(v) = t.shape_violations().first() {
+            let arity = model.arity();
+            let counts = if counts == (arity, arity) {
+                String::new()
+            } else {
+                format!(
+                    "{} and {} attributes (left, right), but the model compares {arity}; ",
+                    counts.0, counts.1
+                )
+            };
+            return Err(format!(
+                "pairs row {}: {counts}the model cannot score this row ({v})",
+                row + 1
+            ));
+        }
+    }
     let mut session = Session::new(Box::new(HierGatPairwise(model)));
     if let Some(threshold) = args.get_parsed("threshold") {
         session.set_threshold(unit_bound("--threshold", threshold?)?);
@@ -707,8 +735,8 @@ struct ModelOptimize {
     arena_bytes_before: u64,
     arena_bytes_after: u64,
     certificates_valid: bool,
-    /// Eager predict vs optimised session, bitwise; always `true` when
-    /// `--verify` is off (the check is skipped).
+    /// Eager predict vs session, bitwise; always `true` when `--verify` is
+    /// off (the check is skipped).
     differential_ok: bool,
     report: hiergat_nn::OptimizeReport,
 }
@@ -742,13 +770,15 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
         };
         let model = spec.build(cx);
         let report = model.optimize_report(example, verify);
-        // Arena budget of the as-recorded inference plan vs the optimised
-        // one the session actually replays.
+        // Arena budget of the as-recorded inference plan (the one the
+        // session replays) vs the optimised graph's.
+        let arena_bytes_before = model.plan_inference(example).arena_bytes;
         let mut t = hiergat_nn::Tape::inference();
         let probs = model.record_scores(&mut t, example);
-        let arena_bytes_before =
-            hiergat_nn::ExecutionPlan::build_inference(&t, probs).report().arena_bytes;
-        let arena_bytes_after = model.plan_inference(example).arena_bytes;
+        let opt =
+            hiergat_nn::optimize(&t, probs, model.params(), &hiergat_nn::OptimizeConfig::default());
+        let arena_bytes_after =
+            hiergat_nn::ExecutionPlan::build_inference(&opt.tape, opt.root).report().arena_bytes;
         let differential_ok = if verify {
             let eager = model.predict(example);
             let mut session = Session::new(model);
@@ -1150,6 +1180,34 @@ mod tests {
                 .expect("parse");
         let err = cmd_audit(&args).expect_err("zero input bound must fail");
         assert!(err.contains("must be positive"));
+    }
+
+    #[test]
+    fn predict_rejects_pairs_the_checkpoint_cannot_score() {
+        let dir = std::env::temp_dir().join("hiergat-cli-arity");
+        let model_dir = dir.join("model");
+        save_model(&HierGat::new(HierGatConfig::fast_test(), 4), &model_dir).expect("save");
+        // Two attributes a side; the checkpoint compares four.
+        let pairs = dir.join("pairs.csv");
+        std::fs::write(&pairs, "label,ltable_a,ltable_b,rtable_a,rtable_b\n1,x y,z,x y,w\n")
+            .expect("write pairs");
+        let argv: Vec<String> = [
+            "predict",
+            "--model",
+            model_dir.display().to_string().as_str(),
+            "--pairs",
+            pairs.display().to_string().as_str(),
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        let err = run(&argv).expect_err("a row of the wrong arity must be rejected");
+        assert!(
+            err.starts_with(
+                "pairs row 1: 2 and 2 attributes (left, right), but the model compares 4"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use hiergat_graph::Hhg;
 use hiergat_lm::MiniLm;
-use hiergat_nn::{ParamStore, Tape, Var};
+use hiergat_nn::{Memo, ParamStore, Tape, Var};
 use hiergat_tensor::Tensor;
 use hiergat_text::Special;
 use rand::Rng;
@@ -20,7 +20,7 @@ pub fn attribute_embedding(
     train: bool,
     rng: &mut impl Rng,
 ) -> Var {
-    let cls = lm.special_embedding(t, ps, Special::Cls);
+    let cls = lm.special_embedding(t, ps, Special::Cls, train);
     if token_seq.is_empty() {
         let encoded = lm.encode_embedded(t, ps, cls, train, rng);
         return t.row(encoded, 0);
@@ -52,7 +52,7 @@ pub fn attribute_embedding_with_attention(
     token_seq: &[usize],
     rng: &mut impl Rng,
 ) -> (Var, Vec<f32>) {
-    let cls = lm.special_embedding(t, ps, Special::Cls);
+    let cls = lm.special_embedding(t, ps, Special::Cls, false);
     if token_seq.is_empty() {
         let encoded = lm.encode_embedded(t, ps, cls, false, rng);
         return (t.row(encoded, 0), Vec::new());
@@ -103,6 +103,9 @@ fn lm_encode_with_attn(
 /// the per-entity concatenation (width `arity x d`) when the configuration
 /// actually consumes it — recording it unconditionally leaves dead nodes on
 /// the tape in the Non-Sum / Non-Align ablations.
+///
+/// In eval mode, attributes with equal token sequences (equal values: the
+/// HHG shares token nodes) get one embedding, recorded once.
 pub fn entity_embeddings(
     t: &mut Tape,
     ps: &ParamStore,
@@ -112,13 +115,17 @@ pub fn entity_embeddings(
     train: bool,
     rng: &mut impl Rng,
 ) -> Vec<Vec<Var>> {
+    let mut embedded = Memo::new(!train);
     g.entities
         .iter()
         .map(|e| {
             e.attr_nodes
                 .iter()
                 .map(|&ai| {
-                    attribute_embedding(t, ps, lm, wpc, &g.attributes[ai].token_seq, train, rng)
+                    let seq = g.attributes[ai].token_seq.as_slice();
+                    embedded.get_or_record(seq, |_| {
+                        attribute_embedding(t, ps, lm, wpc, seq, train, rng)
+                    })
                 })
                 .collect()
         })
@@ -126,9 +133,15 @@ pub fn entity_embeddings(
 }
 
 /// Concatenates each entity's attribute embeddings into one `1 x (arity d)`
-/// row (the summarized entity embedding of Algorithm 1).
+/// row (the summarized entity embedding of Algorithm 1). Entities whose
+/// attribute embeddings are the same nodes (equal records, in an eval-mode
+/// graph) share one row.
 pub fn concat_entities(t: &mut Tape, per_entity_attrs: &[Vec<Var>]) -> Vec<Var> {
-    per_entity_attrs.iter().map(|attrs| t.concat_cols(attrs)).collect()
+    let mut rows = Memo::new(true);
+    per_entity_attrs
+        .iter()
+        .map(|attrs| rows.get_or_record(attrs.as_slice(), |_| t.concat_cols(attrs)))
+        .collect()
 }
 
 /// Aligns two entities' attribute-embedding lists to the model's declared

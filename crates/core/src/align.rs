@@ -9,7 +9,7 @@
 //! `v̂_i = v_i - W_v Σ_j h_j v_j`.
 
 use hiergat_graph::GAT_SLOPE;
-use hiergat_nn::{Linear, ParamId, ParamStore, Tape, Var};
+use hiergat_nn::{Linear, Memo, ParamId, ParamStore, Tape, Var};
 use hiergat_tensor::Tensor;
 use rand::Rng;
 
@@ -38,13 +38,16 @@ impl AlignLayer {
     }
 
     /// Applies Eq. 5 to every entity given the entity-entity edges of the
-    /// HHG. Entities without neighbors pass through unchanged.
+    /// HHG. Entities without neighbors pass through unchanged. In an
+    /// eval-mode graph (`train == false`), entities with the same embedding
+    /// and neighbour nodes share one aligned row.
     pub fn align(
         &self,
         t: &mut Tape,
         ps: &ParamStore,
         entity_embs: &[Var],
         edges: &[(usize, usize)],
+        train: bool,
     ) -> Vec<Var> {
         let n = entity_embs.len();
         let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -52,6 +55,7 @@ impl AlignLayer {
             neighbors[a].push(b);
             neighbors[b].push(a);
         }
+        let (mut stacked, mut aligned) = (Memo::new(!train), Memo::new(!train));
         (0..n)
             .map(|i| {
                 if neighbors[i].is_empty() {
@@ -60,22 +64,27 @@ impl AlignLayer {
                 let v_i = entity_embs[i];
                 // Stack neighbor embeddings and the pair features.
                 let nbr_rows: Vec<Var> = neighbors[i].iter().map(|&j| entity_embs[j]).collect();
-                let nbrs = t.concat_rows(&nbr_rows); // k x D
-                let k = neighbors[i].len();
-                let ones = t.input(Tensor::ones(k, 1));
-                let vi_rows = t.matmul(ones, v_i); // k x D
-                let feats = t.concat_cols(&[vi_rows, nbrs]); // k x 2D
-                let proj = self.w_att.forward(t, ps, feats); // k x hidden
-                let cv = t.param(ps, self.c);
-                let logits = t.matmul(proj, cv); // k x 1
-                let logits = t.leaky_relu(logits, GAT_SLOPE);
-                let lt = t.transpose(logits); // 1 x k
-                let h = t.softmax(lt); // 1 x k
-                let attended = t.matmul(h, nbrs); // 1 x D
-                let projected = self.w_val.forward(t, ps, attended);
-                t.sub(v_i, projected)
+                let nbrs = stacked.get_or_record(nbr_rows, |rows| t.concat_rows(rows)); // k x D
+                aligned.get_or_record((v_i, nbrs), |_| self.align_one(t, ps, v_i, nbrs))
             })
             .collect()
+    }
+
+    /// Eq. 5 for one entity `v_i` over its stacked neighbours `nbrs`.
+    fn align_one(&self, t: &mut Tape, ps: &ParamStore, v_i: Var, nbrs: Var) -> Var {
+        let k = t.value(nbrs).rows();
+        let ones = t.fill(k, 1, 1.0);
+        let vi_rows = t.matmul(ones, v_i); // k x D
+        let feats = t.concat_cols(&[vi_rows, nbrs]); // k x 2D
+        let proj = self.w_att.forward(t, ps, feats); // k x hidden
+        let cv = t.param(ps, self.c);
+        let logits = t.matmul(proj, cv); // k x 1
+        let logits = t.leaky_relu(logits, GAT_SLOPE);
+        let lt = t.transpose(logits); // 1 x k
+        let h = t.softmax(lt); // 1 x k
+        let attended = t.matmul(h, nbrs); // 1 x D
+        let projected = self.w_val.forward(t, ps, attended);
+        t.sub(v_i, projected)
     }
 
     /// Entity embedding width.
@@ -104,7 +113,7 @@ mod tests {
         let embs: Vec<Var> =
             (0..4).map(|_| t.input(Tensor::rand_normal(1, 16, 0.0, 1.0, &mut rng))).collect();
         let edges = vec![(0, 1), (0, 2), (0, 3)];
-        let aligned = layer.align(&mut t, &ps, &embs, &edges);
+        let aligned = layer.align(&mut t, &ps, &embs, &edges, false);
         assert_eq!(aligned.len(), 4);
         for a in &aligned {
             assert_eq!(t.value(*a).shape(), (1, 16));
@@ -118,7 +127,7 @@ mod tests {
         let mut t = Tape::new();
         let embs: Vec<Var> =
             (0..3).map(|_| t.input(Tensor::rand_normal(1, 16, 0.0, 1.0, &mut rng))).collect();
-        let aligned = layer.align(&mut t, &ps, &embs, &[(0, 1)]);
+        let aligned = layer.align(&mut t, &ps, &embs, &[(0, 1)], false);
         // Entity 2 has no edges: unchanged.
         assert!(t.value(aligned[2]).allclose(t.value(embs[2]), 0.0));
         // Entities 0 and 1 are modified.
@@ -134,7 +143,7 @@ mod tests {
         let shared = Tensor::full(1, 16, 1.0);
         let a = t.input(shared.clone());
         let b = t.input(shared.clone());
-        let aligned = layer.align(&mut t, &ps, &[a, b], &[(0, 1)]);
+        let aligned = layer.align(&mut t, &ps, &[a, b], &[(0, 1)], false);
         let diff = t.value(aligned[0]).sub(&shared);
         assert!(diff.norm() > 0.0, "alignment must change the embedding");
         // Symmetric inputs yield symmetric outputs.
@@ -151,7 +160,7 @@ mod tests {
             |t, ps| {
                 let a = t.input(x0.clone());
                 let b = t.input(x1.clone());
-                let aligned = layer.align(t, ps, &[a, b], &[(0, 1)]);
+                let aligned = layer.align(t, ps, &[a, b], &[(0, 1)], true);
                 let cat = t.concat_rows(&aligned);
                 t.mean_all(cat)
             },

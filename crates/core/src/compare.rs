@@ -39,8 +39,8 @@ impl AttributeComparer {
         train: bool,
         rng: &mut impl Rng,
     ) -> Var {
-        let cls = lm.special_embedding(t, ps, Special::Cls);
-        let sep = lm.special_embedding(t, ps, Special::Sep);
+        let cls = lm.special_embedding(t, ps, Special::Cls, train);
+        let sep = lm.special_embedding(t, ps, Special::Sep, train);
         let seq = t.concat_rows(&[cls, a1, sep, a2, sep]);
         let encoded = lm.encode_embedded(t, ps, seq, train, rng);
         let cls_row = t.row(encoded, 0);
@@ -135,7 +135,7 @@ impl EntityComparison {
             ViewCombiner::WeightAverage => match entity_ctx {
                 Some(ctx) => {
                     let k = sims.len();
-                    let ones = t.input(hiergat_tensor::Tensor::ones(k, 1));
+                    let ones = t.fill(k, 1, 1.0);
                     let ctx_rows = t.matmul(ones, ctx); // K x 2Ad
                     let features = t.concat_cols(&[ctx_rows, stacked]); // K x (2Ad + d)
                     self.attn_with_ctx.forward_ctx(t, ps, features, stacked)
@@ -157,7 +157,7 @@ impl EntityComparison {
         let att = match entity_ctx {
             Some(ctx) => {
                 let k = sims.len();
-                let ones = t.input(hiergat_tensor::Tensor::ones(k, 1));
+                let ones = t.fill(k, 1, 1.0);
                 let ctx_rows = t.matmul(ones, ctx);
                 let features = t.concat_cols(&[ctx_rows, stacked]);
                 self.attn_with_ctx.attention(t, ps, features)

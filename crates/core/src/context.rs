@@ -18,7 +18,7 @@
 use crate::config::HierGatConfig;
 use hiergat_graph::{GraphAttn, Hhg};
 use hiergat_lm::MiniLm;
-use hiergat_nn::{ParamStore, Tape, Var};
+use hiergat_nn::{Memo, ParamStore, Tape, Var};
 use hiergat_tensor::Tensor;
 use rand::Rng;
 
@@ -86,9 +86,9 @@ impl ContextModule {
 
         // ---- Attribute / entity-level context, mapped by Φ --------------
         if cfg.use_attr_context || cfg.use_entity_context {
-            let per_key = self.per_key_context(t, ps, g, total, cfg);
+            let per_key = self.per_key_context(t, ps, g, total, cfg, train);
             if let Some(per_key) = per_key {
-                let phi = self.map_to_tokens(t, g, &per_key);
+                let phi = self.map_to_tokens(t, g, &per_key, train);
                 let gated = self.gate(t, ps, self.gate_phi, phi);
                 total = t.add(total, gated);
             }
@@ -100,7 +100,7 @@ impl ContextModule {
     fn gate(&self, t: &mut Tape, ps: &ParamStore, gate: hiergat_nn::ParamId, x: Var) -> Var {
         let n = t.value(x).rows();
         let g = t.param(ps, gate);
-        let ones = t.input(Tensor::ones(n, 1));
+        let ones = t.fill(n, 1, 1.0);
         let col = t.matmul(ones, g);
         t.mul_col(x, col)
     }
@@ -119,21 +119,30 @@ impl ContextModule {
     ) -> Var {
         // occurrences[token_node] = rows of encoded attribute sequences.
         let mut occurrences: Vec<Vec<Var>> = vec![Vec::new(); g.n_tokens()];
+        // Attributes with equal values share one token sequence. In eval mode
+        // the encoder is deterministic, so such a sequence is encoded once
+        // and its rows are reused (training keeps one encode per attribute:
+        // each samples its own dropout masks).
+        let mut encoded_rows = Memo::new(!train);
         for attr in &g.attributes {
-            if attr.token_seq.is_empty() {
+            let token_seq = attr.token_seq.as_slice();
+            if token_seq.is_empty() {
                 continue;
             }
-            let seq = t.gather_rows(v_init, &attr.token_seq);
-            let encoded = lm.encode_embedded(t, ps, seq, train, rng);
-            let max_rows = t.value(encoded).rows();
-            for (pos, &tok) in attr.token_seq.iter().enumerate().take(max_rows) {
-                occurrences[tok].push(t.row(encoded, pos));
+            let rows = encoded_rows.get_or_record(token_seq, |_| {
+                let seq = t.gather_rows(v_init, token_seq);
+                let encoded = lm.encode_embedded(t, ps, seq, train, rng);
+                let n = t.value(encoded).rows();
+                (0..n).map(|pos| t.row(encoded, pos)).collect::<Vec<Var>>()
+            });
+            for (&tok, &row) in token_seq.iter().zip(&rows) {
+                occurrences[tok].push(row);
             }
         }
         let rows: Vec<Var> = occurrences
             .into_iter()
             .map(|occ| match occ.len() {
-                0 => t.input(Tensor::zeros(1, self.d_model)),
+                0 => t.fill(1, self.d_model, 0.0),
                 1 => occ[0],
                 n => {
                     let stacked = t.concat_rows(&occ);
@@ -154,6 +163,7 @@ impl ContextModule {
         g: &Hhg,
         token_emb: Var,
         cfg: &HierGatConfig,
+        train: bool,
     ) -> Option<Vec<(String, Var)>> {
         if !cfg.use_attr_context && !cfg.use_entity_context {
             return None;
@@ -161,24 +171,37 @@ impl ContextModule {
         let keys = g.unique_keys();
         // Attribute-level: v̄_k = Σ_a GraphAttn over a's tokens (Eq. 1).
         let mut key_embs: Vec<Var> = Vec::with_capacity(keys.len());
+        // An eval-mode graph gathers each token list once, whichever of the
+        // two contexts below asks first.
+        let gather = |t: &mut Tape, rows: &[usize]| {
+            if train {
+                t.gather_rows(token_emb, rows)
+            } else {
+                t.gather_rows_shared(token_emb, rows)
+            }
+        };
+        let mut attended = Memo::new(!train);
+        let mut summed = Memo::new(!train);
         for key in &keys {
             let attrs = g.attrs_with_key(key);
             let mut parts = Vec::new();
             for ai in attrs {
-                let seq = &g.attributes[ai].token_seq;
+                let seq = g.attributes[ai].token_seq.as_slice();
                 if seq.is_empty() {
                     continue;
                 }
-                let v = t.gather_rows(token_emb, seq);
-                parts.push(self.attr_ctx.forward(t, ps, v));
+                parts.push(attended.get_or_record(seq, |seq| {
+                    let v = gather(t, seq);
+                    self.attr_ctx.forward(t, ps, v)
+                }));
             }
             let emb = match parts.len() {
-                0 => t.input(Tensor::zeros(1, self.d_model)),
+                0 => t.fill(1, self.d_model, 0.0),
                 1 => parts[0],
-                _ => {
-                    let stacked = t.concat_rows(&parts);
+                _ => summed.get_or_record(parts, |parts| {
+                    let stacked = t.concat_rows(parts);
                     t.sum_rows(stacked)
-                }
+                }),
             };
             key_embs.push(emb);
         }
@@ -192,6 +215,7 @@ impl ContextModule {
 
         let mut out = Vec::with_capacity(keys.len());
         let common = g.common_tokens();
+        let (mut removals, mut reduced) = (Memo::new(!train), Memo::new(!train));
         for (ki, key) in keys.iter().enumerate() {
             let mut ctx = if cfg.use_attr_context { Some(key_embs[ki]) } else { None };
             if let Some(v_bar) = v_bar {
@@ -205,22 +229,24 @@ impl ContextModule {
                     }
                 }
                 if !shared.is_empty() {
-                    let v_shared = t.gather_rows(token_emb, &shared);
-                    let c_a = self.red_ctx.forward(t, ps, v_shared); // Eq. 2, 1 x d
-                                                                     // Eq. 3: attention features (V̄^a || C_j^a), values V̄^a.
-                    let k = keys.len();
-                    let ones = t.input(Tensor::ones(k, 1));
-                    let c_a_rows = t.matmul(ones, c_a); // K x d broadcast
-                    let features = t.concat_cols(&[v_bar, c_a_rows]); // K x 2d
-                    let removed = self.red_rm.forward_ctx(t, ps, features, v_bar);
-                    let neg = t.scale(removed, -1.0); // minus sign of Eq. 3
+                    let neg = removals.get_or_record(shared, |shared| {
+                        let v_shared = gather(t, shared);
+                        let c_a = self.red_ctx.forward(t, ps, v_shared); // Eq. 2, 1 x d
+
+                        // Eq. 3: attention features (V̄^a || C_j^a), values V̄^a.
+                        let ones = t.fill(keys.len(), 1, 1.0);
+                        let c_a_rows = t.matmul(ones, c_a); // K x d broadcast
+                        let features = t.concat_cols(&[v_bar, c_a_rows]); // K x 2d
+                        let removed = self.red_rm.forward_ctx(t, ps, features, v_bar);
+                        t.scale(removed, -1.0) // minus sign of Eq. 3
+                    });
                     ctx = Some(match ctx {
-                        Some(c) => t.add(c, neg),
+                        Some(c) => reduced.get_or_record((c, neg), |_| t.add(c, neg)),
                         None => neg,
                     });
                 }
             }
-            let ctx = ctx.unwrap_or_else(|| t.input(Tensor::zeros(1, self.d_model)));
+            let ctx = ctx.unwrap_or_else(|| t.fill(1, self.d_model, 0.0));
             out.push((key.clone(), ctx));
         }
         Some(out)
@@ -228,7 +254,7 @@ impl ContextModule {
 
     /// `Φ`: every token receives the mean context of the unique keys of the
     /// attributes containing it.
-    fn map_to_tokens(&self, t: &mut Tape, g: &Hhg, per_key: &[(String, Var)]) -> Var {
+    fn map_to_tokens(&self, t: &mut Tape, g: &Hhg, per_key: &[(String, Var)], train: bool) -> Var {
         let key_of = |name: &str| per_key.iter().position(|(k, _)| k == name);
         let mut token_keys: Vec<Vec<usize>> = vec![Vec::new(); g.n_tokens()];
         for attr in &g.attributes {
@@ -239,17 +265,19 @@ impl ContextModule {
                 }
             }
         }
+        // Tokens under the same keys (in the same order) get the same mean.
+        let mut means = Memo::new(!train);
         let rows: Vec<Var> = token_keys
             .into_iter()
             .map(|keys| match keys.len() {
-                0 => t.input(Tensor::zeros(1, self.d_model)),
+                0 => t.fill(1, self.d_model, 0.0),
                 1 => per_key[keys[0]].1,
-                n => {
+                n => means.get_or_record(keys, |keys| {
                     let parts: Vec<Var> = keys.iter().map(|&k| per_key[k].1).collect();
                     let stacked = t.concat_rows(&parts);
                     let sum = t.sum_rows(stacked);
                     t.scale(sum, 1.0 / n as f32)
-                }
+                }),
             })
             .collect();
         t.concat_rows(&rows)

@@ -8,7 +8,7 @@ use crate::context::ContextModule;
 use hiergat_data::{CollectiveExample, EntityPair};
 use hiergat_graph::Hhg;
 use hiergat_lm::MiniLm;
-use hiergat_nn::{Adam, Linear, Optimizer, ParamStore, Tape, Var};
+use hiergat_nn::{Adam, Linear, Memo, Optimizer, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -146,6 +146,22 @@ impl HierGat {
         self.cfg.use_entity_summarization && self.cfg.combiner == ViewCombiner::WeightAverage
     }
 
+    /// The attribute similarity of `(a, b)`, compared once per distinct
+    /// pair of attribute embeddings in an eval-mode graph (`compared`).
+    fn similarity(
+        &self,
+        t: &mut Tape,
+        compared: &mut Memo<(Var, Var)>,
+        a: Var,
+        b: Var,
+        train: bool,
+        rng: &mut StdRng,
+    ) -> Var {
+        compared.get_or_record((a, b), |_| {
+            self.comparer.similarity(t, &self.ps, &self.lm, a, b, train, rng)
+        })
+    }
+
     fn classify(&self, t: &mut Tape, sim: Var) -> Var {
         let h = self.cls_hidden.forward(t, &self.ps, sim);
         let h = t.relu(h);
@@ -173,10 +189,11 @@ impl HierGat {
         let attrs = entity_embeddings(t, &self.ps, &self.lm, &g, wpc, train, rng);
         let (left_attrs, right_attrs) =
             attribute_similarity_inputs(&attrs[0], &attrs[1], self.arity);
+        let mut compared = Memo::new(!train);
         let sims: Vec<Var> = left_attrs
             .iter()
             .zip(&right_attrs)
-            .map(|(&a, &b)| self.comparer.similarity(t, &self.ps, &self.lm, a, b, train, rng))
+            .map(|(&a, &b)| self.similarity(t, &mut compared, a, b, train, rng))
             .collect();
         let entity_ctx = if self.uses_entity_ctx() {
             let concats = concat_entities(t, &attrs);
@@ -259,7 +276,7 @@ impl HierGat {
         let aligned = if self.uses_entity_ctx() {
             let concats = concat_entities(t, &attrs);
             if self.cfg.use_alignment {
-                self.align.align(t, &self.ps, &concats, &g.entity_edges)
+                self.align.align(t, &self.ps, &concats, &g.entity_edges, train)
             } else {
                 concats
             }
@@ -267,21 +284,26 @@ impl HierGat {
             Vec::new()
         };
         let mut rows = Vec::with_capacity(ex.candidates.len());
+        let mut compared = Memo::new(!train);
+        let (mut pair_ctx, mut classified) = (Memo::new(!train), Memo::new(!train));
         for ci in 0..ex.candidates.len() {
             let (q_attrs, c_attrs) =
                 attribute_similarity_inputs(&attrs[0], &attrs[ci + 1], self.arity);
             let sims: Vec<Var> = q_attrs
                 .iter()
                 .zip(&c_attrs)
-                .map(|(&a, &b)| self.comparer.similarity(t, &self.ps, &self.lm, a, b, train, rng))
+                .map(|(&a, &b)| self.similarity(t, &mut compared, a, b, train, rng))
                 .collect();
-            let entity_ctx = if self.uses_entity_ctx() {
-                Some(t.concat_cols(&[aligned[0], aligned[ci + 1]]))
-            } else {
-                None
-            };
-            let sim = self.cmp.combine(t, &self.ps, &sims, entity_ctx);
-            rows.push(self.classify(t, sim));
+            let entity_ctx = self.uses_entity_ctx().then(|| {
+                pair_ctx
+                    .get_or_record((aligned[0], aligned[ci + 1]), |&(q, c)| t.concat_cols(&[q, c]))
+            });
+            // Candidates equal to an earlier one (same similarity and
+            // context nodes) share its logits row.
+            rows.push(classified.get_or_record((sims, entity_ctx), |(sims, ctx)| {
+                let sim = self.cmp.combine(t, &self.ps, sims, *ctx);
+                self.classify(t, sim)
+            }));
         }
         t.concat_rows(&rows)
     }

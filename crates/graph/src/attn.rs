@@ -17,7 +17,6 @@ pub const GAT_SLOPE: f32 = 0.2;
 pub struct GraphAttn {
     w: Linear,
     c: ParamId,
-    d_in: usize,
 }
 
 impl GraphAttn {
@@ -32,12 +31,11 @@ impl GraphAttn {
     ) -> Self {
         let w = Linear::new(ps, &format!("{prefix}.w"), d_in, d_out, false, rng);
         let c = ps.add(format!("{prefix}.c"), Tensor::rand_normal(d_out, 1, 0.0, 0.3, rng));
-        Self { w, c, d_in }
+        Self { w, c }
     }
 
     /// Attention weights over the rows of `features` (an `n x 1` column).
     pub fn attention(&self, t: &mut Tape, ps: &ParamStore, features: Var) -> Var {
-        debug_assert_eq!(t.value(features).cols(), self.d_in, "GraphAttn: width mismatch");
         let projected = self.w.forward(t, ps, features);
         // The nonlinearity must sit between the projection and the scalar
         // collapse: `c^T tanh(W f)`. With the affine form `LeakyReLU(c^T W f)`

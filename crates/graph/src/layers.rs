@@ -49,11 +49,10 @@ impl GcnLayer {
         a
     }
 
-    /// Applies the layer. `norm_adj` should come from
-    /// [`Self::normalized_adjacency`].
-    pub fn forward(&self, t: &mut Tape, ps: &ParamStore, x: Var, norm_adj: &Tensor) -> Var {
-        let a = t.input(norm_adj.clone());
-        let agg = t.matmul(a, x);
+    /// Applies the layer. `norm_adj` is the recorded output of
+    /// [`Self::normalized_adjacency`]; layers over one graph share it.
+    pub fn forward(&self, t: &mut Tape, ps: &ParamStore, x: Var, norm_adj: Var) -> Var {
+        let agg = t.matmul(norm_adj, x);
         let h = self.w.forward(t, ps, agg);
         t.relu(h)
     }
@@ -105,7 +104,7 @@ impl GatLayer {
             let dj = t.gather_rows(d, &nbrs); // k x 1
                                               // logits_j = LeakyReLU(s_i + d_j)
             let si_broadcast = {
-                let ones = t.input(Tensor::ones(nbrs.len(), 1));
+                let ones = t.fill(nbrs.len(), 1, 1.0);
                 t.matmul(ones, si)
             };
             let logits = t.add(si_broadcast, dj);
@@ -169,10 +168,10 @@ mod tests {
         let mut ps = ParamStore::new();
         let layer = GcnLayer::new(&mut ps, "gcn", 4, 6, &mut rng);
         let adj = path_graph(5);
-        let na = GcnLayer::normalized_adjacency(&adj);
         let mut t = Tape::new();
+        let na = t.input(GcnLayer::normalized_adjacency(&adj));
         let x = t.input(Tensor::rand_normal(5, 4, 0.0, 1.0, &mut rng));
-        let y = layer.forward(&mut t, &ps, x, &na);
+        let y = layer.forward(&mut t, &ps, x, na);
         assert_eq!(t.value(y).shape(), (5, 6));
     }
 
@@ -202,7 +201,8 @@ mod tests {
             &mut ps,
             |t, ps| {
                 let xv = t.input(x.clone());
-                let y = layer.forward(t, ps, xv, &na);
+                let na = t.input(na.clone());
+                let y = layer.forward(t, ps, xv, na);
                 t.mean_all(y)
             },
             1e-3,

@@ -164,10 +164,16 @@ impl MiniLm {
         self.encoder.forward_with_attn(t, ps, x, train, rng, attn_out)
     }
 
-    /// The (trainable) embedding row of a special token (`1 x d`).
-    pub fn special_embedding(&self, t: &mut Tape, ps: &ParamStore, s: Special) -> Var {
+    /// The (trainable) embedding row of a special token (`1 x d`). An
+    /// eval-mode graph gathers it once and every use reads the same node.
+    pub fn special_embedding(&self, t: &mut Tape, ps: &ParamStore, s: Special, train: bool) -> Var {
         let table = t.param(ps, self.tok_emb);
-        t.gather_rows(table, &[self.vocab.special(s)])
+        let id = [self.vocab.special(s)];
+        if train {
+            t.gather_rows(table, &id)
+        } else {
+            t.gather_rows_shared(table, &id)
+        }
     }
 
     /// Encodes and returns only the `[CLS]` row (`1 x d`) — the sequence

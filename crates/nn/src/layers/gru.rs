@@ -3,8 +3,23 @@
 use crate::layers::linear::Linear;
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
-use hiergat_tensor::Tensor;
 use rand::Rng;
+
+/// The input projections of one step (see [`GruCell::project`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GruInput {
+    z: Var,
+    r: Var,
+    h: Var,
+}
+
+/// A hidden state with its recurrent projections (see [`GruCell::state`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GruState {
+    h: Var,
+    uz: Var,
+    ur: Var,
+}
 
 /// A gated recurrent unit cell.
 ///
@@ -40,26 +55,45 @@ impl GruCell {
         }
     }
 
-    /// One step: consumes input `x` (`1 x d_in`) and state `h` (`1 x d_h`),
-    /// returns the next state.
-    pub fn step(&self, t: &mut Tape, ps: &ParamStore, x: Var, h: Var) -> Var {
+    /// The input half of a step, `x W + b` for each gate: it reads the input
+    /// row alone, so an eval-mode graph can project each distinct row once.
+    pub fn project(&self, t: &mut Tape, ps: &ParamStore, x: Var) -> GruInput {
+        let z = self.wz.forward(t, ps, x);
+        let r = self.wr.forward(t, ps, x);
+        let h = self.wh.forward(t, ps, x);
+        GruInput { z, r, h }
+    }
+
+    /// State `h` with its recurrent projections `h Uz` and `h Ur`: they
+    /// read the state alone, so an eval-mode graph can record them once per
+    /// state however many inputs step from it.
+    pub fn state(&self, t: &mut Tape, ps: &ParamStore, h: Var) -> GruState {
+        let uz = self.uz.forward(t, ps, h);
+        let ur = self.ur.forward(t, ps, h);
+        GruState { h, uz, ur }
+    }
+
+    /// The zero initial state.
+    pub fn zero_state(&self, t: &mut Tape) -> Var {
+        t.fill(1, self.d_hidden, 0.0)
+    }
+
+    /// One step from state `from` on the projected input `x`: returns the
+    /// next hidden state.
+    pub fn step_from(&self, t: &mut Tape, ps: &ParamStore, x: GruInput, from: GruState) -> Var {
+        let GruState { h, uz, ur } = from;
         let z = {
-            let a = self.wz.forward(t, ps, x);
-            let b = self.uz.forward(t, ps, h);
-            let s = t.add(a, b);
+            let s = t.add(x.z, uz);
             t.sigmoid(s)
         };
         let r = {
-            let a = self.wr.forward(t, ps, x);
-            let b = self.ur.forward(t, ps, h);
-            let s = t.add(a, b);
+            let s = t.add(x.r, ur);
             t.sigmoid(s)
         };
         let h_tilde = {
-            let a = self.wh.forward(t, ps, x);
             let rh = t.mul(r, h);
             let b = self.uh.forward(t, ps, rh);
-            let s = t.add(a, b);
+            let s = t.add(x.h, b);
             t.tanh(s)
         };
         // h' = (1 - z) * h + z * h_tilde
@@ -67,35 +101,6 @@ impl GruCell {
         let keep = t.mul(one_minus_z, h);
         let update = t.mul(z, h_tilde);
         t.add(keep, update)
-    }
-
-    /// Runs the GRU over an `n x d_in` sequence (top to bottom), returning
-    /// the `n x d_h` matrix of hidden states.
-    pub fn run(&self, t: &mut Tape, ps: &ParamStore, seq: Var) -> Var {
-        let n = t.value(seq).rows();
-        let mut h = t.input(Tensor::zeros(1, self.d_hidden));
-        let mut states = Vec::with_capacity(n);
-        for i in 0..n {
-            let x = t.row(seq, i);
-            h = self.step(t, ps, x, h);
-            states.push(h);
-        }
-        t.concat_rows(&states)
-    }
-
-    /// Runs the GRU in both directions and concatenates the final states,
-    /// producing an `n x 2 d_h` matrix. Helper for bidirectional encoders.
-    pub fn run_reversed(&self, t: &mut Tape, ps: &ParamStore, seq: Var) -> Var {
-        let n = t.value(seq).rows();
-        let mut h = t.input(Tensor::zeros(1, self.d_hidden));
-        let mut states = vec![None; n];
-        for i in (0..n).rev() {
-            let x = t.row(seq, i);
-            h = self.step(t, ps, x, h);
-            states[i] = Some(h);
-        }
-        let ordered: Vec<Var> = states.into_iter().map(|s| s.expect("filled")).collect();
-        t.concat_rows(&ordered)
     }
 
     /// Hidden width.
@@ -107,8 +112,30 @@ impl GruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hiergat_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Steps `gru` over the rows of `seq` in `order` from the zero state,
+    /// returning the hidden state after each step.
+    fn step_rows(
+        gru: &GruCell,
+        t: &mut Tape,
+        ps: &ParamStore,
+        seq: Var,
+        order: impl Iterator<Item = usize>,
+    ) -> Vec<Var> {
+        let mut h = gru.zero_state(t);
+        order
+            .map(|i| {
+                let x = t.row(seq, i);
+                let x = gru.project(t, ps, x);
+                let from = gru.state(t, ps, h);
+                h = gru.step_from(t, ps, x, from);
+                h
+            })
+            .collect()
+    }
 
     #[test]
     fn run_produces_one_state_per_token() {
@@ -117,8 +144,9 @@ mod tests {
         let gru = GruCell::new(&mut ps, "gru", 3, 5, &mut rng);
         let mut t = Tape::new();
         let seq = t.input(Tensor::rand_normal(4, 3, 0.0, 1.0, &mut rng));
-        let states = gru.run(&mut t, &ps, seq);
-        assert_eq!(t.value(states).shape(), (4, 5));
+        let states = step_rows(&gru, &mut t, &ps, seq, 0..4);
+        assert_eq!(states.len(), 4);
+        assert!(states.iter().all(|&h| t.value(h).shape() == (1, 5)));
     }
 
     #[test]
@@ -129,8 +157,10 @@ mod tests {
         let gru = GruCell::new(&mut ps, "gru", 2, 3, &mut rng);
         let mut t = Tape::new();
         let seq = t.input(Tensor::rand_normal(20, 2, 0.0, 5.0, &mut rng));
-        let states = gru.run(&mut t, &ps, seq);
-        assert!(t.value(states).as_slice().iter().all(|v| v.abs() <= 1.0 + 1e-5));
+        let states = step_rows(&gru, &mut t, &ps, seq, 0..20);
+        for h in states {
+            assert!(t.value(h).as_slice().iter().all(|v| v.abs() <= 1.0 + 1e-5));
+        }
     }
 
     #[test]
@@ -140,10 +170,10 @@ mod tests {
         let gru = GruCell::new(&mut ps, "gru", 2, 3, &mut rng);
         let mut t = Tape::new();
         let seq = t.input(Tensor::rand_normal(5, 2, 0.0, 1.0, &mut rng));
-        let fwd = gru.run(&mut t, &ps, seq);
-        let bwd = gru.run_reversed(&mut t, &ps, seq);
-        assert_eq!(t.value(bwd).shape(), (5, 3));
-        assert!(!t.value(fwd).allclose(t.value(bwd), 1e-6));
+        let fwd = step_rows(&gru, &mut t, &ps, seq, 0..5);
+        let bwd = step_rows(&gru, &mut t, &ps, seq, (0..5).rev());
+        assert_eq!(t.value(bwd[4]).shape(), (1, 3));
+        assert!(!t.value(fwd[4]).allclose(t.value(bwd[4]), 1e-6));
     }
 
     #[test]
@@ -156,7 +186,8 @@ mod tests {
             &mut ps,
             |t, ps| {
                 let s = t.input(seq.clone());
-                let states = gru.run(t, ps, s);
+                let states = step_rows(&gru, t, ps, s, 0..3);
+                let states = t.concat_rows(&states);
                 t.mean_all(states)
             },
             1e-3,

@@ -28,9 +28,10 @@ impl Linear {
         Self { w, b, d_in, d_out }
     }
 
-    /// Applies the layer to an `n x d_in` input.
+    /// Applies the layer to an `n x d_in` input. A wrong input width is a
+    /// matmul shape violation: an eager tape panics with it, a deferred tape
+    /// collects it.
     pub fn forward(&self, t: &mut Tape, ps: &ParamStore, x: Var) -> Var {
-        debug_assert_eq!(t.value(x).cols(), self.d_in, "Linear: input width mismatch");
         let w = t.param(ps, self.w);
         let y = t.matmul(x, w);
         match self.b {

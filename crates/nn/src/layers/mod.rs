@@ -7,7 +7,7 @@ mod norm;
 mod transformer;
 
 pub use attention::MultiHeadSelfAttention;
-pub use gru::GruCell;
+pub use gru::{GruCell, GruInput, GruState};
 pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use transformer::{TransformerEncoder, TransformerEncoderLayer};

@@ -146,9 +146,7 @@ impl TransformerEncoder {
     ) -> Var {
         let n = t.value(x).rows();
         assert!(n <= self.max_len, "sequence length {n} exceeds max_len {}", self.max_len);
-        let table = t.param(ps, self.pos);
-        let indices: Vec<usize> = (0..n).collect();
-        let pos = t.gather_rows(table, &indices);
+        let pos = self.positions(t, ps, n, train);
         let mut h = t.add(x, pos);
         for layer in &self.layers {
             h = layer.forward(t, ps, h, train, rng);
@@ -168,14 +166,24 @@ impl TransformerEncoder {
     ) -> Var {
         let n = t.value(x).rows();
         assert!(n <= self.max_len, "sequence length {n} exceeds max_len {}", self.max_len);
-        let table = t.param(ps, self.pos);
-        let indices: Vec<usize> = (0..n).collect();
-        let pos = t.gather_rows(table, &indices);
+        let pos = self.positions(t, ps, n, train);
         let mut h = t.add(x, pos);
         for layer in &self.layers {
             h = layer.forward_with_attn(t, ps, h, train, rng, attn_out);
         }
         h
+    }
+
+    /// The positional rows `0..n`. An eval-mode graph gathers them once per
+    /// length and every encode of that length reads the same node.
+    fn positions(&self, t: &mut Tape, ps: &ParamStore, n: usize, train: bool) -> Var {
+        let table = t.param(ps, self.pos);
+        let indices: Vec<usize> = (0..n).collect();
+        if train {
+            t.gather_rows(table, &indices)
+        } else {
+            t.gather_rows_shared(table, &indices)
+        }
     }
 
     /// Number of blocks.

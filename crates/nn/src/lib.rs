@@ -18,6 +18,7 @@ mod forward;
 pub mod gradcheck;
 mod layers;
 pub mod lint;
+mod memo;
 mod optim;
 pub mod optimize;
 mod params;
@@ -37,13 +38,15 @@ pub use analyze::{
     SentinelHit, ShapeViolation, UnusedNode,
 };
 pub use layers::{
-    GruCell, LayerNorm, Linear, MultiHeadSelfAttention, TransformerEncoder, TransformerEncoderLayer,
+    GruCell, GruInput, GruState, LayerNorm, Linear, MultiHeadSelfAttention, TransformerEncoder,
+    TransformerEncoderLayer,
 };
 pub use lint::{lint_graph, Diagnostic, LintConfig, LintReport, Severity};
+pub use memo::Memo;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use optimize::{
-    optimize, optimize_owned, optimize_with_cache, CachedOptimized, Certificate, OptimizeConfig,
-    OptimizeReport, Optimized, OptimizerCache,
+    optimize, optimize_with_cache, CachedOptimized, Certificate, OptimizeConfig, OptimizeReport,
+    Optimized, OptimizerCache,
 };
 pub use params::{ParamId, ParamStore};
 pub use plan::{ArenaExecutor, ExecutionPlan, PlanReport, PlannedSlot};

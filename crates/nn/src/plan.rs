@@ -44,12 +44,10 @@ use std::hash::{Hash, Hasher};
 /// Two tapes with equal signatures produce identical plans (payloads like
 /// scale factors and slice starts are read from the *current* tape at
 /// execution time and never baked into the plan). The buffer is the
-/// caller's, so per-call code (the executor's plan lookup, the optimiser's
-/// decisions cache) fingerprints a tape without allocating.
+/// caller's, so the executor's per-call plan lookup fingerprints a tape
+/// without allocating.
 pub(crate) fn signature_into(tape: &Tape, output: Var, sig: &mut Vec<u64>) {
-    // The optimiser bit keeps an optimised graph's plan distinct from the
-    // as-recorded graph's even when their shapes coincide.
-    sig.extend([output.index() as u64, u64::from(tape.is_optimized())]);
+    sig.push(output.index() as u64);
     for i in 0..=output.index() {
         let v = Var::from_index(i);
         let op = tape.op_at(i);
@@ -65,46 +63,6 @@ pub(crate) fn signature_into(tape: &Tape, output: Var, sig: &mut Vec<u64>) {
         op.for_each_input(|x| sig.push(x.index() as u64));
         sig[arity_at] = (sig.len() - arity_at - 1) as u64;
     }
-}
-
-/// Allocation-free check that `tape[0..=output]`'s fingerprint equals a
-/// previously captured [`signature_into`] buffer. The optimiser's replay
-/// cache confirms structural identity with this walk — mirroring
-/// `signature_into` word for word, aborting on the first mismatch —
-/// instead of materialising a fresh signature vector per call.
-pub(crate) fn sig_matches(tape: &Tape, output: Var, sig: &[u64]) -> bool {
-    if sig.len() < 2 || sig[0] != output.index() as u64 || sig[1] != u64::from(tape.is_optimized())
-    {
-        return false;
-    }
-    let mut pos = 2;
-    for i in 0..=output.index() {
-        let op = tape.op_at(i);
-        let (rows, cols) = tape.value(Var::from_index(i)).shape();
-        if pos + 4 > sig.len()
-            || sig[pos] != op.tag()
-            || sig[pos + 1] != rows as u64
-            || sig[pos + 2] != cols as u64
-        {
-            return false;
-        }
-        let declared_arity = sig[pos + 3];
-        pos += 4;
-        let mut arity = 0u64;
-        let mut inputs_ok = true;
-        op.for_each_input(|x| {
-            if pos < sig.len() && sig[pos] == x.index() as u64 {
-                pos += 1;
-            } else {
-                inputs_ok = false;
-            }
-            arity += 1;
-        });
-        if !inputs_ok || arity != declared_arity {
-            return false;
-        }
-    }
-    pos == sig.len()
 }
 
 fn hash_signature(sig: &[u64]) -> u64 {
@@ -767,7 +725,9 @@ mod tests {
         let (valid, s) = record(&[0, 4]);
         exec.infer(&valid, s, &ps);
         let (bad, s) = record(&[0, 9]);
-        assert!(sig_matches(&bad, s, &exec.plans.values().next().expect("one plan").signature));
+        let mut sig = Vec::new();
+        signature_into(&bad, s, &mut sig);
+        assert_eq!(sig, exec.plans.values().next().expect("one plan").signature);
         exec.infer(&bad, s, &ps);
     }
 

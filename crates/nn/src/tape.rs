@@ -21,9 +21,10 @@ use crate::forward;
 use crate::params::{ParamId, ParamStore};
 use hiergat_tensor::{gelu_grad_scalar, Tensor};
 use rand::Rng;
+use std::collections::HashMap;
 
 /// Handle to a node on the tape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
 impl Var {
@@ -285,7 +286,12 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     inference: bool,
-    optimized: bool,
+    /// `params[id]`: the one leaf [`Self::param`] recorded for that id.
+    params: Vec<Option<Var>>,
+    /// Leaves recorded by [`Self::fill`], by shape and value bits.
+    fills: HashMap<(usize, usize, u32), Var>,
+    /// Nodes recorded by [`Self::gather_rows_shared`], by table and indices.
+    gathers: HashMap<(Var, Vec<usize>), Var>,
     violations: Vec<ShapeViolation>,
 }
 
@@ -314,18 +320,6 @@ impl Tape {
     /// `true` if this tape defers its values (see [`Self::inference`]).
     pub fn is_inference(&self) -> bool {
         self.inference
-    }
-
-    /// `true` if this tape was produced by the rewrite engine
-    /// (`hiergat_nn::optimize`). The bit is folded into plan-cache
-    /// signatures so optimised and as-recorded graphs never share a
-    /// cached arena plan.
-    pub fn is_optimized(&self) -> bool {
-        self.optimized
-    }
-
-    pub(crate) fn mark_optimized(&mut self) {
-        self.optimized = true;
     }
 
     /// An empty tape in the same recording mode as `self` (the rewrite
@@ -413,54 +407,6 @@ impl Tape {
 
     pub(crate) fn op_at(&self, i: usize) -> &Op {
         &self.nodes[i].op
-    }
-
-    /// Moves node `i`'s value out of the tape, leaving a storage-free
-    /// placeholder of the same shape behind. The rewrite engine's owned
-    /// fast path (`optimize_owned`) uses this to re-home `Input` leaves
-    /// onto the optimised tape without deep-copying them; shape queries
-    /// against the vacated node keep answering the original geometry.
-    ///
-    /// # Panics
-    /// Panics with the tape length if `i` is out of range.
-    pub(crate) fn take_node_value(&mut self, i: usize) -> Tensor {
-        assert!(
-            i < self.nodes.len(),
-            "take_node_value: index {i} out of range for tape of {} nodes",
-            self.len()
-        );
-        let (rows, cols) = self.nodes[i].value.shape();
-        std::mem::replace(&mut self.nodes[i].value, Tensor::placeholder(rows, cols))
-    }
-
-    /// Moves a fresh value into node `i`'s slot, replacing whatever was
-    /// there. The optimiser's patch-in-place replay uses this to re-home
-    /// each new example's `Input` leaves (and re-evaluated fold constants)
-    /// onto a cached optimised tape whose structure already matched; the
-    /// incoming value's shape must equal the slot's, so shape queries and
-    /// the executor's plan signature stay stable across patches.
-    ///
-    /// # Panics
-    /// Panics with the tape length if `i` is out of range.
-    pub(crate) fn put_node_value(&mut self, i: usize, value: Tensor) {
-        assert!(
-            i < self.nodes.len(),
-            "put_node_value: index {i} out of range for tape of {} nodes",
-            self.len()
-        );
-        debug_assert_eq!(
-            self.nodes[i].value.shape(),
-            value.shape(),
-            "put_node_value: patched value must keep the slot's shape"
-        );
-        self.nodes[i].value = value;
-    }
-
-    /// Mutable access to the op at tape index `i`, for the optimiser's
-    /// patch-in-place replay (payload refresh only — wiring must never
-    /// change, or the cached plan signature would lie).
-    pub(crate) fn op_at_mut(&mut self, i: usize) -> &mut Op {
-        &mut self.nodes[i].op
     }
 
     /// Diagnostic name of the op at tape index `i` (e.g. `"matmul"`), or
@@ -557,21 +503,51 @@ impl Tape {
         self.push(value, Op::Input)
     }
 
+    /// Records a constant `rows x cols` input with every element `value`,
+    /// once per tape: a later call with the same shape and value bits
+    /// returns the first leaf. Inputs receive no gradient, so sharing one
+    /// changes nothing in training either.
+    pub fn fill(&mut self, rows: usize, cols: usize, value: f32) -> Var {
+        let key = (rows, cols, value.to_bits());
+        if let Some(&v) = self.fills.get(&key) {
+            return v;
+        }
+        let v = self.input(Tensor::full(rows, cols, value));
+        self.fills.insert(key, v);
+        v
+    }
+
     /// Records a scalar constant.
     pub fn constant(&mut self, value: f32) -> Var {
         self.input(Tensor::scalar(value))
     }
 
     /// Records a parameter leaf; gradients will accumulate in the store.
+    ///
+    /// A tape holds one leaf per parameter: every later call with the same
+    /// id returns the first call's [`Var`], so a layer applied many times
+    /// reads (and, on an eager tape, clones) its weights once. Backward sums
+    /// the consumers' adjoints on that leaf, in reverse recording order, and
+    /// adds the sum to the store once.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if self.inference {
+        if let Some(Some(v)) = self.params.get(id.index()) {
+            return *v;
+        }
+        let value = if self.inference {
             // The executor reads the live parameter from the store at
             // execution time; cloning the value here would be both a wasted
             // allocation and a staleness hazard across optimizer steps.
             let (rows, cols) = store.value(id).shape();
-            return self.push(Tensor::placeholder(rows, cols), Op::Param(id));
+            Tensor::placeholder(rows, cols)
+        } else {
+            store.value(id).clone()
+        };
+        let v = self.push(value, Op::Param(id));
+        if self.params.len() <= id.index() {
+            self.params.resize(id.index() + 1, None);
         }
-        self.push(store.value(id).clone(), Op::Param(id))
+        self.params[id.index()] = Some(v);
+        v
     }
 
     /// Elementwise sum.
@@ -685,9 +661,13 @@ impl Tape {
 
     /// Mean over rows (`1 x c`).
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let rows = self.value(a).rows() as f32;
+        let rows = self.value(a).rows();
         let s = self.sum_rows(a);
-        self.scale(s, 1.0 / rows)
+        // Scaling by 1 is the identity, bit for bit: record no node for it.
+        if rows == 1 {
+            return s;
+        }
+        self.scale(s, 1.0 / rows as f32)
     }
 
     /// Per-row maximum (`r x 1`), the softmax/log-sum-exp stabilizer.
@@ -764,6 +744,20 @@ impl Tape {
     /// Embedding lookup: `out[i] = table[indices[i]]`.
     pub fn gather_rows(&mut self, table: Var, indices: &[usize]) -> Var {
         self.record(Op::GatherRows { table, indices: indices.to_vec() })
+    }
+
+    /// [`Self::gather_rows`], recorded once per `(table, indices)` on this
+    /// tape: a later call with the same arguments returns the first node.
+    /// For eval-mode graphs; a training graph keeps one gather per use (see
+    /// [`crate::Memo`]).
+    pub fn gather_rows_shared(&mut self, table: Var, indices: &[usize]) -> Var {
+        let key = (table, indices.to_vec());
+        if let Some(&v) = self.gathers.get(&key) {
+            return v;
+        }
+        let v = self.gather_rows(table, indices);
+        self.gathers.insert(key, v);
+        v
     }
 
     /// Inverted dropout. Identity when `train` is false or `p == 0` (no op
@@ -1179,13 +1173,26 @@ mod tests {
     fn param_used_twice_accumulates() {
         let mut ps = ParamStore::new();
         let w = ps.add("w", Tensor::scalar(5.0));
-        let mut t = Tape::new();
-        let w1 = t.param(&ps, w);
-        let w2 = t.param(&ps, w);
-        let s = t.add(w1, w2); // 2w
-        let loss = t.sum_all(s);
-        t.backward(loss, &mut ps);
-        assert_eq!(ps.grad(w).item(), 2.0);
+        let x = Tensor::scalar(3.0);
+        // Two calls of one layer `y = w * x + w`: three consumers of `w`.
+        let layer = |t: &mut Tape, ps: &ParamStore, x: Var| {
+            let wv = t.param(ps, w);
+            let wx = t.mul(wv, x);
+            t.add(wx, wv)
+        };
+        for mut t in [Tape::new(), Tape::inference()] {
+            let xv = t.input(x.clone());
+            let h = layer(&mut t, &ps, xv);
+            let y = layer(&mut t, &ps, h);
+            let params = (0..t.len()).filter(|&i| t.op_name(i) == "param").count();
+            assert_eq!(params, 1, "one param leaf per id, whatever the recording mode");
+            if !t.is_inference() {
+                // y = w (w x + w) + w, so dy/dw = 2 w x + 2 w + 1.
+                ps.zero_grad();
+                t.backward(y, &mut ps);
+                assert_eq!(ps.grad(w).item(), 2.0 * 5.0 * 3.0 + 2.0 * 5.0 + 1.0);
+            }
+        }
     }
 
     #[test]
@@ -1392,6 +1399,5 @@ mod tests {
         let fresh = t.mode_like();
         assert!(fresh.is_inference());
         assert!(fresh.is_empty());
-        assert!(!fresh.is_optimized());
     }
 }

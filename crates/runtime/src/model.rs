@@ -133,13 +133,11 @@ pub trait ErModel: Send + Sync {
 
     /// Arena memory plan of the inference scoring graph (forward-only
     /// liveness: no gradient slots, no backward keep-alives), as the
-    /// session executes it — i.e. after the certified tape optimiser has
-    /// rewritten the recorded graph (sessions optimise by default).
+    /// session replays it: the graph as recorded.
     fn plan_inference(&self, ex: Example<'_>) -> PlanReport {
         let mut t = Tape::inference();
         let probs = self.record_scores(&mut t, ex);
-        let opt = optimize(&t, probs, self.params(), &OptimizeConfig::default());
-        ExecutionPlan::build_inference(&opt.tape, opt.root).report().clone()
+        ExecutionPlan::build_inference(&t, probs).report().clone()
     }
 
     /// Runs the certified tape optimiser over the inference scoring graph

@@ -2,18 +2,18 @@
 //! plans, behind a batched scoring API.
 //!
 //! A session records each example's eval-mode scoring graph on a
-//! forward-only tape ([`Tape::inference`]), runs the certified tape
-//! optimiser over it (DCE / CSE / constant folding / fusion, every default
-//! rewrite bitwise-exact — see `hiergat_nn::optimize`), and replays the
-//! result through the arena executor's cached inference plans: parameters
-//! enter as placeholders (no per-call weight cloning, unlike eager tapes)
-//! and node values live in one planned arena (no per-node heap allocation).
-//! Scores are bitwise identical to the model's eager `predict` path — same
-//! kernels, same evaluation order on the surviving nodes — so a session is
-//! a drop-in, faster scorer. [`Session::set_optimize`] restores the
-//! as-recorded replay. [`Session::quantise`] snaps the weights onto the
-//! int8/f16 grids the interval audit proves, in place; scoring then runs
-//! through the same executors.
+//! forward-only tape ([`Tape::inference`]) and replays it, as recorded,
+//! through the arena executor's cached inference plans: parameters enter
+//! as placeholders (no per-call weight cloning, unlike eager tapes) and
+//! node values live in one planned arena (no per-node heap allocation).
+//! The models record each value once — one leaf per parameter, one encode
+//! per distinct token sequence — so there is nothing left for the tape
+//! optimiser to remove (`hiergat_nn::optimize` checks this; it is not on
+//! the scoring path). Scores are bitwise identical to the model's eager
+//! `predict` path — same graph, same kernels, same order — so a session is
+//! a drop-in, faster scorer. [`Session::quantise`] snaps the weights onto
+//! the int8/f16 grids the interval audit proves, in place; scoring then
+//! runs through the same executors.
 //!
 //! [`Session::score_batch`] fans examples out over the `parallel` pool
 //! (`HIERGAT_THREADS` governs the width). Each worker slot keeps its own
@@ -22,10 +22,7 @@
 //! and a 1-thread and an 8-thread run are bitwise identical.
 
 use crate::model::{ErModel, Example};
-use hiergat_nn::{
-    optimize_with_cache, ArenaExecutor, OptimizeConfig, OptimizerCache, QuantConfig, QuantError,
-    QuantStore, QuantStoreReport, Tape,
-};
+use hiergat_nn::{ArenaExecutor, QuantConfig, QuantError, QuantStore, QuantStoreReport, Tape};
 use std::sync::Mutex;
 
 /// An inference session over one model.
@@ -33,9 +30,7 @@ pub struct Session {
     model: Box<dyn ErModel>,
     threshold: f32,
     exec: ArenaExecutor,
-    cache: OptimizerCache,
-    workers: Vec<(ArenaExecutor, OptimizerCache)>,
-    optimize: bool,
+    workers: Vec<ArenaExecutor>,
     quantised: bool,
 }
 
@@ -51,51 +46,23 @@ pub struct QuantReport {
     pub arena_bytes: u64,
 }
 
-/// Records `ex`'s scoring graph on an inference tape, optionally runs the
-/// certified tape optimiser over it, and replays the result through `exec`,
-/// returning the match probability per output. Every default-config rewrite
-/// is bitwise-exact, so the optimised replay still matches eager `predict`.
-fn score_one(
-    model: &dyn ErModel,
-    exec: &mut ArenaExecutor,
-    cache: &mut OptimizerCache,
-    ex: Example<'_>,
-    optimized: bool,
-) -> Vec<f32> {
+/// Records `ex`'s scoring graph on an inference tape and replays it through
+/// `exec`, returning the match probability per output.
+fn score_one(model: &dyn ErModel, exec: &mut ArenaExecutor, ex: Example<'_>) -> Vec<f32> {
     let n = ex.n_outputs();
     let mut t = Tape::inference();
     let probs = model.record_scores(&mut t, ex);
     // The probability node is row-major `n x 2`; column 1 is P(match).
     let mut buf = vec![0.0f32; n * 2];
-    if optimized {
-        // The cached-tape fast path: after the first example of a given
-        // record geometry, the optimiser skips planning and emission
-        // entirely — it revalidates its cached decisions against the fresh
-        // tape, patches the fresh inputs/payloads into the cached optimised
-        // tape, and hands that back (no certificate records; shape checks
-        // still run). The recorded tape is discarded here either way.
-        let opt = optimize_with_cache(cache, t, probs, model.params(), &OptimizeConfig::hot());
-        exec.infer_into(opt.tape, opt.root, model.params(), &mut buf);
-    } else {
-        exec.infer_into(&t, probs, model.params(), &mut buf);
-    }
+    exec.infer_into(&t, probs, model.params(), &mut buf);
     (0..n).map(|i| buf[i * 2 + 1]).collect()
 }
 
 impl Session {
-    /// Wraps a model, adopting its persisted decision threshold. The
-    /// certified tape optimiser is on by default; see [`Self::set_optimize`].
+    /// Wraps a model, adopting its persisted decision threshold.
     pub fn new(model: Box<dyn ErModel>) -> Self {
         let threshold = model.decision_threshold();
-        Self {
-            model,
-            threshold,
-            exec: ArenaExecutor::new(),
-            cache: OptimizerCache::default(),
-            workers: Vec::new(),
-            optimize: true,
-            quantised: false,
-        }
+        Self { model, threshold, exec: ArenaExecutor::new(), workers: Vec::new(), quantised: false }
     }
 
     /// Quantises the session's weights post-training, driven by the absint
@@ -107,10 +74,7 @@ impl Session {
     ///
     /// From then on the session is an ordinary f32 session whose weights
     /// sit on the audited grids: scores are bitwise-equal to the model's
-    /// eager `predict` over the snapped weights. Quantising also turns the
-    /// tape optimiser off, for footprint: the optimiser's cache entry for a
-    /// graph geometry is about twice the size of its as-recorded plan.
-    /// [`Self::set_optimize`] turns it back on without changing a bit.
+    /// eager `predict` over the snapped weights.
     pub fn quantise(
         &mut self,
         ex: Example<'_>,
@@ -120,7 +84,6 @@ impl Session {
         let probs = self.model.record_scores(&mut t, ex);
         let (store, _audit) = QuantStore::build(&t, probs, self.model.params(), cfg)?;
         store.snap(self.model.params_mut());
-        self.optimize = false;
         self.quantised = true;
         // Plans the priming graph on the serial executor, so the first
         // score of this geometry replays at once.
@@ -148,20 +111,6 @@ impl Session {
         self.threshold = threshold;
     }
 
-    /// Whether scoring replays the optimised tape (default `true`).
-    pub fn optimizes(&self) -> bool {
-        self.optimize
-    }
-
-    /// Toggles the certified tape optimiser for this session. Optimised and
-    /// as-recorded graphs carry distinct plan-cache signatures, so flipping
-    /// this mid-session never replays a stale plan, and every default
-    /// rewrite is bitwise-exact, so it never changes a score.
-    /// [`Self::quantise`] turns it off.
-    pub fn set_optimize(&mut self, optimize: bool) {
-        self.optimize = optimize;
-    }
-
     /// Capacity of the serial scoring arena, in bytes (grows to the largest
     /// inference plan seen; 0 before the first call).
     pub fn arena_capacity_bytes(&self) -> u64 {
@@ -172,7 +121,7 @@ impl Session {
     /// to the model's eager `predict` (over the snapped weights, after
     /// [`Self::quantise`]).
     pub fn score(&mut self, ex: Example<'_>) -> Vec<f32> {
-        score_one(&*self.model, &mut self.exec, &mut self.cache, ex, self.optimize)
+        score_one(&*self.model, &mut self.exec, ex)
     }
 
     /// Interval abstract-interpretation audit of the scoring graph this
@@ -200,25 +149,19 @@ impl Session {
         // own executor, keeping its plan cache warm.
         if workers == 1 || examples.len() < 2 * workers {
             let model = &*self.model;
-            let optimized = self.optimize;
-            let (exec, cache) = (&mut self.exec, &mut self.cache);
-            return examples
-                .iter()
-                .map(|ex| score_one(model, exec, cache, *ex, optimized))
-                .collect();
+            let exec = &mut self.exec;
+            return examples.iter().map(|ex| score_one(model, exec, *ex)).collect();
         }
         while self.workers.len() < workers {
-            self.workers.push((ArenaExecutor::new(), OptimizerCache::default()));
+            self.workers.push(ArenaExecutor::new());
         }
         let mut out: Vec<Vec<f32>> = vec![Vec::new(); examples.len()];
         let chunk = examples.len().div_ceil(workers);
         let model = &*self.model;
-        let optimized = self.optimize;
-        // One job per worker slot: its persistent executor and optimiser
-        // decisions cache plus the slice of outputs/examples it owns. The
-        // Mutex hands each spawned task exclusive access to its own job.
-        type Worker = (ArenaExecutor, OptimizerCache);
-        type Job<'j, 'e> = Mutex<(&'j mut Worker, &'j mut [Vec<f32>], &'j [Example<'e>])>;
+        // One job per worker slot: its persistent executor plus the slice
+        // of outputs/examples it owns. The Mutex hands each spawned task
+        // exclusive access to its own job.
+        type Job<'j, 'e> = Mutex<(&'j mut ArenaExecutor, &'j mut [Vec<f32>], &'j [Example<'e>])>;
         let jobs: Vec<Job<'_, '_>> = self
             .workers
             .iter_mut()
@@ -228,10 +171,9 @@ impl Session {
             .collect();
         parallel::run(jobs.len(), |i| {
             let mut job = jobs[i].lock().expect("session job lock");
-            let (worker, slots, exs) = &mut *job;
-            let (exec, cache) = &mut **worker;
+            let (exec, slots, exs) = &mut *job;
             for (slot, ex) in slots.iter_mut().zip(exs.iter()) {
-                *slot = score_one(model, exec, cache, *ex, optimized);
+                *slot = score_one(model, exec, *ex);
             }
         });
         out
@@ -310,22 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn optimised_and_as_recorded_sessions_agree_bitwise() {
-        let ds = MagellanDataset::FodorsZagats.load(0.15);
-        let pairs = &ds.train[..ds.train.len().min(6)];
-        let reg = ModelRegistry::builtin();
-        let cx = BuildContext { tier: LmTier::MiniDistil, arity: ds.arity().max(1) };
-        let mut session = Session::new(reg.get("ditto").expect("spec").build(&cx));
-        assert!(session.optimizes(), "optimiser is on by default");
-        let optimised = session.score_pairs(pairs);
-        session.set_optimize(false);
-        let plain = session.score_pairs(pairs);
-        for (o, p) in optimised.iter().zip(&plain) {
-            assert_eq!(o.to_bits(), p.to_bits(), "optimised replay must be bitwise-exact");
-        }
-    }
-
-    #[test]
     fn quantised_session_shrinks_storage_and_stays_close_to_f32() {
         let ds = MagellanDataset::FodorsZagats.load(0.15);
         let pairs = &ds.train[..ds.train.len().min(8)];
@@ -337,7 +263,6 @@ mod tests {
             .quantise(Example::Pair(&pairs[0]), &QuantConfig::default())
             .expect("audit-clean model must quantise");
         assert!(session.is_quantised());
-        assert!(!session.optimizes(), "quantised sessions replay as recorded");
         assert!(report.arena_bytes > 0);
         assert!(
             report.weights.bytes_quantised < report.weights.bytes_f32,

@@ -37,10 +37,9 @@ assert d["simd"], "kernels bench did not run with the simd feature"
 assert d["all_bitwise_equal"], "pooled kernels diverged from serial"
 assert micro >= 4.0, f"microkernel floor not met: {micro:.2f}x < 4x"
 # Quantised-session floor. A quantised session replays the f32 executor
-# over weights snapped onto the audited grids, as recorded (DESIGN.md
-# section 17), so the gates are: the weight bytes the grids need shrink,
-# score drift stays small, and throughput holds most of the optimised f32
-# session's (the as-recorded replay skips the optimiser's rewrites).
+# over weights snapped onto the audited grids (DESIGN.md section 17), so
+# the gates are: the weight bytes the grids need shrink, score drift stays
+# small, and throughput holds most of the f32 session's.
 q = d["quantised"]
 print(f"quantised floor check: {q['quantised_pairs_per_s']:.0f} pairs/s "
       f"({q['speedup_vs_f32_session']:.2f}x f32 session), weights "

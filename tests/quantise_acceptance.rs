@@ -8,8 +8,7 @@
 //! parameter below f32; (c) a quantised session is an f32 session over
 //! snapped weights — every score, including those of graph geometries
 //! never seen at quantise time, is bitwise-equal to eager `predict` on
-//! the snapped model, at kernel-pool widths 1 and 8, with the tape
-//! optimiser off (the quantised default) and back on.
+//! the snapped model, at kernel-pool widths 1 and 8.
 //!
 //! `ci.sh` runs this suite under `HIERGAT_THREADS=1` and `=8` and again
 //! under `--features simd`; the width sweep inside uses
@@ -179,7 +178,7 @@ fn distinct_geometries<'a>(session: &Session, pool: &[Example<'a>]) -> Vec<Examp
 }
 
 #[test]
-fn quantised_scoring_is_deterministic_across_widths_and_optimizer_settings() {
+fn quantised_scoring_is_deterministic_across_widths() {
     let fx = Fixture::load();
     for spec in ModelRegistry::builtin().specs() {
         let pool = fx.wide_pool(spec.kind());
@@ -196,26 +195,21 @@ fn quantised_scoring_is_deterministic_across_widths_and_optimizer_settings() {
         session
             .quantise(batch[0], &QuantConfig::default())
             .unwrap_or_else(|e| panic!("{}: quantise failed: {e}", spec.name()));
-        assert!(!session.optimizes(), "{}: quantised sessions replay as recorded", spec.name());
         // Eager prediction over the snapped weights is the reference.
         let eager: Vec<Vec<u32>> =
             batch.iter().map(|ex| bits(&session.model().predict(*ex))).collect();
-        for optimize in [false, true] {
-            session.set_optimize(optimize);
-            for width in [1, 8] {
-                let scored: Vec<Vec<u32>> =
-                    parallel::with_threads(width, || session.score_batch(&batch))
-                        .iter()
-                        .map(|scores| bits(scores))
-                        .collect();
-                assert_eq!(
-                    scored,
-                    eager,
-                    "{}: quantised scores differ from eager predict (optimize {optimize}, \
-                     width {width})",
-                    spec.name()
-                );
-            }
+        for width in [1, 8] {
+            let scored: Vec<Vec<u32>> =
+                parallel::with_threads(width, || session.score_batch(&batch))
+                    .iter()
+                    .map(|scores| bits(scores))
+                    .collect();
+            assert_eq!(
+                scored,
+                eager,
+                "{}: quantised scores differ from eager predict (width {width})",
+                spec.name()
+            );
         }
     }
 }
